@@ -8,7 +8,7 @@ elements, so no truncation is ever performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import scalars as sc
 from .dynsys import Point, validate_point
@@ -19,12 +19,14 @@ from .funcspace import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
-    """Finitely supported series sum_n a_n delta^n."""
+    """Finitely supported series sum_n a_n delta^n.  Construction checks
+    every coefficient; the algebra operations use the trusted `_element`."""
 
     system: object
     coeffs: dict
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         clean = {}
@@ -36,10 +38,7 @@ class Element:
         if len({f.exact for f in clean.values()}) > 1:
             raise SystemMismatchError("coefficients mix numeric modes")
         object.__setattr__(self, "coeffs", clean)
-
-    @property
-    def exact(self) -> bool:
-        return any(f.exact for f in self.coeffs.values())
+        object.__setattr__(self, "exact", any(f.exact for f in clean.values()))
 
     def coeff(self, n: int) -> Func:
         got = self.coeffs.get(n)
@@ -52,6 +51,22 @@ class Element:
 
     def support_radius(self) -> int:
         return max((abs(n) for n in self.coeffs), default=0)
+
+
+_alloc = object.__new__
+_set_system = Element.system.__set__
+_set_coeffs = Element.coeffs.__set__
+_set_exact = Element.exact.__set__
+
+
+def _element(system, coeffs: dict) -> Element:
+    """Trusted constructor: only drops zero coefficients."""
+    clean = {n: f for n, f in coeffs.items() if not f_is_zero(f)}
+    a = _alloc(Element)
+    _set_system(a, system)
+    _set_coeffs(a, clean)
+    _set_exact(a, any(f.exact for f in clean.values()))
+    return a
 
 
 def element(system, coeffs) -> Element:
@@ -84,11 +99,11 @@ def alg_add(a: Element, b: Element) -> Element:
     out = dict(a.coeffs)
     for n, f in b.coeffs.items():
         out[n] = f_add(out[n], f) if n in out else f
-    return Element(a.system, out)
+    return _element(a.system, out)
 
 
 def alg_scale(c, a: Element) -> Element:
-    return Element(a.system, {n: f_scale(c, f) for n, f in a.coeffs.items()})
+    return _element(a.system, {n: f_scale(c, f) for n, f in a.coeffs.items()})
 
 
 def alg_neg(a: Element) -> Element:
@@ -108,7 +123,7 @@ def alg_mul(a: Element, b: Element) -> Element:
             n = k + m
             term = f_mul(ak, f_compose_sigma(bm, -k))
             out[n] = f_add(out[n], term) if n in out else term
-    return Element(a.system, out)
+    return _element(a.system, out)
 
 
 def alg_adj(a: Element) -> Element:
@@ -117,7 +132,7 @@ def alg_adj(a: Element) -> Element:
     for m, g in a.coeffs.items():
         n = -m
         out[n] = f_conj(f_compose_sigma(g, -n))
-    return Element(a.system, out)
+    return _element(a.system, out)
 
 
 def alg_norm(a: Element) -> float:
@@ -132,7 +147,7 @@ def expectation(a: Element) -> Func:
 
 def dual_action(a: Element, lam) -> Element:
     """Scale the n-th coefficient by lam**n for unimodular lam."""
-    return Element(a.system, {
+    return _element(a.system, {
         n: f_scale(sc.unit_pow(lam, n), f) for n, f in a.coeffs.items()
     })
 
@@ -146,7 +161,7 @@ def dual_average(a: Element, order: int) -> Element:
     """
     if order < 1:
         raise ValueError("averaging order must be positive")
-    return Element(a.system, {n: f for n, f in a.coeffs.items() if n % order == 0})
+    return _element(a.system, {n: f for n, f in a.coeffs.items() if n % order == 0})
 
 
 def fourier_eval(a: Element, x: Point, lam):
@@ -176,7 +191,7 @@ def demote_to_float(a: Element) -> Element:
             return f
         return Func(system, tuple(dem(p) for p in f.data))
 
-    return Element(a.system, {n: dem(f) for n, f in a.coeffs.items()})
+    return _element(a.system, {n: dem(f) for n, f in a.coeffs.items()})
 
 
 def elem_is_zero(a: Element, tol: float = 0.0) -> bool:

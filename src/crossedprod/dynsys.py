@@ -195,15 +195,6 @@ def turns_eq(a, b, tol: float = TURN_TOL) -> bool:
     return d <= tol or 1.0 - d <= tol
 
 
-def point_eq(sys, x: Point, y: Point) -> bool:
-    if x.path != y.path:
-        return False
-    leaf = leaf_system(sys, x.path)
-    if isinstance(leaf, RotationSystem):
-        return turns_eq(x.coord, y.coord)
-    return x.coord == y.coord
-
-
 def leaf_system(sys, path: tuple[int, ...]):
     for i in path:
         if not isinstance(sys, UnionSystem):
@@ -441,10 +432,6 @@ def set_is_empty(S: ClosedSet) -> bool:
     if isinstance(S, CircleSet):
         return not S.whole and not S.turns
     return all(set_is_empty(p) for p in S.parts)
-
-
-def set_is_whole(sys, S: ClosedSet) -> bool:
-    return set_subset(sys, whole_space(sys), S)
 
 
 def set_union(sys, A: ClosedSet, B: ClosedSet) -> ClosedSet:

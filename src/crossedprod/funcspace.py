@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from operator import add, mul
 
 from . import scalars as sc
 from .dynsys import (
@@ -28,7 +27,7 @@ from .errors import ModeMismatchError, SystemMismatchError, UnsupportedQueryErro
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Func:
     """A function in the C(X) model of its system.
 
@@ -37,37 +36,63 @@ class Func:
       shift system    -> (value at infinity, {n: value} finite exceptions)
       rotation system -> {frequency: coefficient} trigonometric polynomial
       union system    -> tuple of component Funcs
+
+    ``Func(system, data)`` validates its data and decides the numeric mode
+    once; the kernels below build their results through :func:`_func`,
+    which trusts its inputs.
     """
 
     system: object
     data: object
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _normal_form(self.system, self.data))
-
-    @property
-    def exact(self) -> bool:
-        vals = list(_scalars_of(self.system, self.data))
-        return sc.check_same_mode(vals) if vals else False
+        data, exact = _normal_form(self.system, self.data)
+        _set_data(self, data)
+        _set_exact(self, exact)
 
 
-def _normal_form(system, data):
+_alloc = object.__new__
+_set_system = Func.system.__set__
+_set_data = Func.data.__set__
+_set_exact = Func.exact.__set__
+
+
+def _func(system, data, exact: bool) -> Func:
+    """Trusted constructor: data is already in normal form and in one mode."""
+    f = _alloc(Func)
+    _set_system(f, system)
+    _set_data(f, data)
+    _set_exact(f, exact)
+    return f
+
+
+def _shift(system, v_inf, exc: dict, exact: bool) -> Func:
+    """Trusted shift result: drops exceptions equal to the value at infinity."""
+    return _func(system, (v_inf, {n: v for n, v in exc.items() if v != v_inf}), exact)
+
+
+def _trig(system, coeffs: dict) -> Func:
+    """Trusted rotation result: drops zero coefficients (always float)."""
+    return _func(system, {k: c for k, c in coeffs.items() if c}, False)
+
+
+def _normal_form(system, data) -> tuple:
+    """(normalised data, exact) after checking data against the system."""
     if isinstance(system, FiniteSystem):
         data = tuple(data)
         if len(data) != system.size:
             raise SystemMismatchError("value vector length mismatch")
-        sc.check_same_mode(data)
-        return data
+        return data, sc.check_same_mode(data)
     if isinstance(system, ShiftSystem):
         v_inf, exc = data
         exc = {int(n): v for n, v in exc.items() if v != v_inf}
-        sc.check_same_mode([v_inf, *exc.values()])
-        return (v_inf, exc)
+        return (v_inf, exc), sc.check_same_mode([v_inf, *exc.values()])
     if isinstance(system, RotationSystem):
         coeffs = {int(k): c for k, c in data.items() if not sc.is_zero(c)}
         if any(sc.is_exact(c) for c in coeffs.values()):
             raise ModeMismatchError("the rotation model runs in float mode")
-        return coeffs
+        return coeffs, False
     if isinstance(system, UnionSystem):
         parts = tuple(data)
         if len(parts) != len(system.components):
@@ -75,7 +100,7 @@ def _normal_form(system, data):
         for c, p in zip(system.components, parts):
             if p.system != c:
                 raise SystemMismatchError("component function on wrong system")
-        return parts
+        return parts, sc.check_same_mode(_scalars_of(system, parts))
     raise SystemMismatchError("unknown system kind")
 
 
@@ -158,32 +183,25 @@ def point_indicator(system, x: Point, exact: bool = False) -> Func:
 
 
 def _binop(f: Func, g: Func, op):
-    if f.system != g.system:
-        raise SystemMismatchError("functions live on different systems")
-    system = f.system
-    if isinstance(system, FiniteSystem):
-        return Func(system, tuple(op(a, b) for a, b in zip(f.data, g.data)))
-    if isinstance(system, ShiftSystem):
-        vf, ef = f.data
-        vg, eg = g.data
-        keys = set(ef) | set(eg)
-        return Func(system, (op(vf, vg), {n: op(ef.get(n, vf), eg.get(n, vg)) for n in keys}))
-    if isinstance(system, RotationSystem):
-        raise AssertionError("rotation handled by caller")
-    return Func(system, tuple(_binop(a, b, op) for a, b in zip(f.data, g.data)))
+    """Pointwise op on the finite and shift models."""
+    if isinstance(f.system, FiniteSystem):
+        return _func(f.system, tuple(map(op, f.data, g.data)), f.exact)
+    vf, ef = f.data
+    vg, eg = g.data
+    keys = set(ef) | set(eg)
+    return _shift(f.system, op(vf, vg),
+                  {n: op(ef.get(n, vf), eg.get(n, vg)) for n in keys}, f.exact)
 
 
 def f_add(f: Func, g: Func) -> Func:
+    if f.system != g.system:
+        raise SystemMismatchError("functions live on different systems")
     if isinstance(f.system, RotationSystem):
-        if f.system != g.system:
-            raise SystemMismatchError("functions live on different systems")
         keys = set(f.data) | set(g.data)
-        return Func(f.system, {k: f.data.get(k, 0j) + g.data.get(k, 0j) for k in keys})
+        return _trig(f.system, {k: f.data.get(k, 0j) + g.data.get(k, 0j) for k in keys})
     if isinstance(f.system, UnionSystem):
-        if f.system != g.system:
-            raise SystemMismatchError("functions live on different systems")
-        return Func(f.system, tuple(f_add(a, b) for a, b in zip(f.data, g.data)))
-    return _binop(f, g, lambda a, b: a + b)
+        return _func(f.system, tuple(map(f_add, f.data, g.data)), f.exact)
+    return _binop(f, g, add)
 
 
 def f_sub(f: Func, g: Func) -> Func:
@@ -192,44 +210,42 @@ def f_sub(f: Func, g: Func) -> Func:
 
 def f_mul(f: Func, g: Func) -> Func:
     """Pointwise product; coefficient convolution on the rotation model."""
+    if f.system != g.system:
+        raise SystemMismatchError("functions live on different systems")
     if isinstance(f.system, RotationSystem):
-        if f.system != g.system:
-            raise SystemMismatchError("functions live on different systems")
         out: dict = {}
         for j, a in f.data.items():
             for k, b in g.data.items():
                 out[j + k] = out.get(j + k, 0j) + a * b
-        return Func(f.system, out)
+        return _trig(f.system, out)
     if isinstance(f.system, UnionSystem):
-        if f.system != g.system:
-            raise SystemMismatchError("functions live on different systems")
-        return Func(f.system, tuple(f_mul(a, b) for a, b in zip(f.data, g.data)))
-    return _binop(f, g, lambda a, b: a * b)
+        return _func(f.system, tuple(map(f_mul, f.data, g.data)), f.exact)
+    return _binop(f, g, mul)
 
 
 def f_scale(c, f: Func) -> Func:
     system = f.system
     if isinstance(system, FiniteSystem):
-        return Func(system, tuple(c * v for v in f.data))
+        return _func(system, tuple(c * v for v in f.data), f.exact)
     if isinstance(system, ShiftSystem):
         v, e = f.data
-        return Func(system, (c * v, {n: c * w for n, w in e.items()}))
+        return _shift(system, c * v, {n: c * w for n, w in e.items()}, f.exact)
     if isinstance(system, RotationSystem):
-        return Func(system, {k: c * w for k, w in f.data.items()})
-    return Func(system, tuple(f_scale(c, p) for p in f.data))
+        return _trig(system, {k: c * w for k, w in f.data.items()})
+    return _func(system, tuple(f_scale(c, p) for p in f.data), f.exact)
 
 
 def f_conj(f: Func) -> Func:
     """Pointwise complex conjugate."""
     system = f.system
     if isinstance(system, FiniteSystem):
-        return Func(system, tuple(sc.conj(v) for v in f.data))
+        return _func(system, tuple(sc.conj(v) for v in f.data), f.exact)
     if isinstance(system, ShiftSystem):
         v, e = f.data
-        return Func(system, (sc.conj(v), {n: sc.conj(w) for n, w in e.items()}))
+        return _shift(system, sc.conj(v), {n: sc.conj(w) for n, w in e.items()}, f.exact)
     if isinstance(system, RotationSystem):
-        return Func(system, {-k: sc.conj(c) for k, c in f.data.items()})
-    return Func(system, tuple(f_conj(p) for p in f.data))
+        return _trig(system, {-k: sc.conj(c) for k, c in f.data.items()})
+    return _func(system, tuple(f_conj(p) for p in f.data), f.exact)
 
 
 @lru_cache(maxsize=8192)
@@ -243,13 +259,14 @@ def f_compose_sigma(f: Func, k: int) -> Func:
     system = f.system
     if isinstance(system, FiniteSystem):
         m = sigma_power_map(system, k % _lcm_order(system))
-        return Func(system, tuple(f.data[m[i]] for i in range(system.size)))
+        return _func(system, tuple(map(f.data.__getitem__, m)), f.exact)
     if isinstance(system, ShiftSystem):
+        # moving the exceptions keeps them distinct from the value at infinity
         v, e = f.data
-        return Func(system, (v, {n - k: w for n, w in e.items()}))
+        return _func(system, (v, {n - k: w for n, w in e.items()}), f.exact)
     if isinstance(system, RotationSystem):
-        return Func(system, {j: c * rotation_phase(system, k * j) for j, c in f.data.items()})
-    return Func(system, tuple(f_compose_sigma(p, k) for p in f.data))
+        return _trig(system, {j: c * rotation_phase(system, k * j) for j, c in f.data.items()})
+    return _func(system, tuple(f_compose_sigma(p, k) for p in f.data), f.exact)
 
 
 def f_eval(f: Func, x: Point):
@@ -341,10 +358,12 @@ def f_zero_set(f: Func, tol: float = DEFAULT_TOL):
 
 def unit_circle_roots(coeffs: dict, tol: float) -> list[float]:
     """Turns of the unit-circle roots of sum_k c_k z^k."""
+    import numpy as np  # deferred: only root finding needs it, and it is costly to load
+
     lo = min(coeffs)
     hi = max(coeffs)
     poly = [complex(coeffs.get(k, 0j)) for k in range(hi, lo - 1, -1)]
-    roots = np.roots(poly) if len(poly) > 1 else np.array([])
+    roots = np.roots(poly) if len(poly) > 1 else []
     turns = []
     for r in roots:
         if abs(abs(r) - 1.0) <= max(tol, 1e-7):
@@ -379,20 +398,16 @@ def separating_func(system, S, x: Point, exact: bool = False) -> Func:
     validate_point(system, x)
     if isinstance(system, UnionSystem):
         i = x.path[0]
-        parts = [zero_func(c, exact) for c in system.components]
-        parts[i] = separating_func(
-            system.components[i], S.parts[i], Point(x.coord, x.path[1:]), exact
-        )
-        return Func(system, tuple(parts))
-    one, zero = sc.one_like(exact), sc.zero_like(exact)
-    if isinstance(system, FiniteSystem):
-        return Func(system, tuple(one if i == x.coord else zero for i in range(system.size)))
+        inner = separating_func(system.components[i], S.parts[i],
+                                Point(x.coord, x.path[1:]), exact)
+        return embed_func(system, i, inner, exact)
+    if isinstance(system, FiniteSystem) or (isinstance(system, ShiftSystem)
+                                            and x.coord is not INF):
+        return point_indicator(system, x, exact)
     if isinstance(system, ShiftSystem):
-        if x.coord is INF:
-            if S.cofinite or S.has_inf:
-                raise UnsupportedQueryError("x lies in the closure of S")
-            return Func(system, (one, {n: zero for n in S.ints}))
-        return Func(system, (zero, {x.coord: one}))
+        if S.cofinite or S.has_inf:
+            raise UnsupportedQueryError("x lies in the closure of S")
+        return Func(system, (sc.one_like(exact), {n: sc.zero_like(exact) for n in S.ints}))
     if S.whole:
         raise UnsupportedQueryError("no nonzero function vanishes on the whole circle")
     coeffs = {0: 1 + 0j}

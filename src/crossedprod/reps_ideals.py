@@ -54,45 +54,8 @@ def _zeros(dim: int, exact: bool):
     return [[z] * dim for _ in range(dim)]
 
 
-def _matmul(A, B, dim):
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = None
-            for k in range(dim):
-                t = A[i][k] * B[k][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def rep_matmul(M: RepMatrix, N: RepMatrix) -> RepMatrix:
-    if M.dim != N.dim:
-        raise SystemMismatchError("matrix dimension mismatch")
-    return RepMatrix(
-        tuple(tuple(r) for r in _matmul([list(r) for r in M.entries],
-                                        [list(r) for r in N.entries], M.dim)),
-        M.period, M.window,
-    )
-
-
-def rep_dagger(M: RepMatrix) -> RepMatrix:
-    return RepMatrix(
-        tuple(tuple(sc.conj(M.entries[j][i]) for j in range(M.dim)) for i in range(M.dim)),
-        M.period, M.window,
-    )
-
-
 def rep_is_zero(M: RepMatrix, tol: float = DEFAULT_TOL) -> bool:
     return all(sc.is_zero(v, tol) for row in M.entries for v in row)
-
-
-def rep_close(M: RepMatrix, N: RepMatrix, tol: float = DEFAULT_TOL) -> bool:
-    return M.dim == N.dim and all(
-        sc.close(a, b, tol) for ra, rb in zip(M.entries, N.entries) for a, b in zip(ra, rb)
-    )
 
 
 def _unify_lam(a: Element, lam):
@@ -112,37 +75,18 @@ def rep_periodic(system, x: Point, lam, a: Element) -> RepMatrix:
     a, lam = _unify_lam(a, lam)
     exact = a.exact and sc.is_exact(lam)
     orbit = orbit_points(system, x)
-    one = sc.one_like(exact)
 
-    # the unitary step matrix: subdiagonal ones, lam in the top-right corner
-    D = _zeros(p, exact)
-    for k in range(p - 1):
-        D[k + 1][k] = one
-    D[0][p - 1] = lam
-    Ddag = [[sc.conj(D[j][i]) for j in range(p)] for i in range(p)]
-
+    # The unitary step matrix D has ones on the subdiagonal and lam in the
+    # top-right corner, so D^n e_j = lam^q e_i with i = (j + n) mod p and
+    # q = floor((j + n) / p); for n < 0 this is (D*)^|n|, where a negative
+    # q stands for conj(lam)^|q|.
     total = _zeros(p, exact)
     for n, f in a.coeffs.items():
         diag = [f_eval(f, orbit[j]) for j in range(p)]
-        P = _power(D if n >= 0 else Ddag, abs(n), p, exact)
-        for i in range(p):
-            for j in range(p):
-                total[i][j] = total[i][j] + diag[i] * P[i][j]
+        for j in range(p):
+            q, i = divmod(j + n, p)
+            total[i][j] = total[i][j] + diag[i] * sc.unit_pow(lam, q)
     return RepMatrix(tuple(tuple(r) for r in total), period=p)
-
-
-def _power(M, n, dim, exact):
-    out = _identity(dim, exact)
-    for _ in range(n):
-        out = _matmul(out, M, dim)
-    return out
-
-
-def _identity(dim, exact):
-    I = _zeros(dim, exact)
-    for i in range(dim):
-        I[i][i] = sc.one_like(exact)
-    return I
 
 
 def rep_aperiodic_window(system, x: Point, W: int, a: Element) -> RepMatrix:

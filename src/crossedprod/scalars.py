@@ -1,77 +1,142 @@
 """Complex scalars in two numeric modes.
 
 Float mode uses the builtin ``complex``.  Exact mode uses :class:`QComplex`,
-a complex number with rational real and imaginary parts.  A computation runs
-in one mode throughout; mixing raises :class:`ModeMismatchError`.
+the Gaussian rational ``(a + b i) / d`` stored as three integers ``a``,
+``b`` and ``d`` with ``d > 0`` and ``gcd(a, b, d) == 1``.  That normal form
+is unique, so equality is a comparison of the three integers, and every
+operation restores it with one ``math.gcd``.  A computation runs in one
+mode throughout; mixing raises :class:`ModeMismatchError`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModeMismatchError
 
+_gcd = math.gcd
 
-@dataclass(frozen=True)
+
 class QComplex:
-    """Complex number with exact rational parts."""
+    """Complex number with exact rational parts, held as ``(a + b i) / d``.
 
-    re: Fraction
-    im: Fraction
+    ``QComplex(re, im)`` takes the two rational parts; ``.re`` and ``.im``
+    give them back as :class:`~fractions.Fraction`.  Instances are immutable.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re, im):
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        return _reduced(re.numerator * (d // re.denominator),
+                        im.numerator * (d // im.denominator), d)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("QComplex is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __eq__(self, other):
+        if type(other) is not QComplex:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __add__(self, other):
-        if not isinstance(other, QComplex):
+        if type(other) is not QComplex:
             return NotImplemented
-        return QComplex(self.re + other.re, self.im + other.im)
+        a, b, d = self._a, self._b, self._d
+        e = other._d
+        if d == e:
+            return _reduced(a + other._a, b + other._b, d)
+        return _reduced(a * e + other._a * d, b * e + other._b * d, d * e)
 
     def __sub__(self, other):
-        if not isinstance(other, QComplex):
+        if type(other) is not QComplex:
             return NotImplemented
-        return QComplex(self.re - other.re, self.im - other.im)
+        a, b, d = self._a, self._b, self._d
+        e = other._d
+        if d == e:
+            return _reduced(a - other._a, b - other._b, d)
+        return _reduced(a * e - other._a * d, b * e - other._b * d, d * e)
 
     def __neg__(self):
-        return QComplex(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if not isinstance(other, QComplex):
+        if type(other) is not QComplex:
             return NotImplemented
-        return QComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other):
-        if not isinstance(other, QComplex):
+        if type(other) is not QComplex:
             return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        c, e = other._a, other._b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by exact zero")
-        return QComplex(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, f = self._a, self._b, other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def conjugate(self) -> "QComplex":
-        return QComplex(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def __abs__(self) -> float:
         return math.sqrt(float(self.abs2()))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self):
+        return f"QComplex(re={self.re!r}, im={self.im!r})"
 
     def __str__(self):
-        return f"{self.re}+{self.im}i" if self.im >= 0 else f"{self.re}{self.im}i"
+        re, im = self.re, self.im
+        return f"{re}+{im}i" if im >= 0 else f"{re}{im}i"
 
 
-QZERO = QComplex(Fraction(0), Fraction(0))
-QONE = QComplex(Fraction(1), Fraction(0))
+_set_a = QComplex._a.__set__
+_set_b = QComplex._b.__set__
+_set_d = QComplex._d.__set__
+_alloc = object.__new__
+
+
+def _reduced(a: int, b: int, d: int) -> QComplex:
+    """Fast internal constructor: (a + b i) / d for integers with d > 0,
+    brought to lowest terms without building any Fraction."""
+    g = _gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _alloc(QComplex)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+QZERO = _reduced(0, 0, 1)
+QONE = _reduced(1, 0, 1)
 
 
 def qc(re, im=0) -> QComplex:
@@ -110,36 +175,11 @@ def conj(z):
     return z.conjugate()
 
 
-def abs2(z) -> float | Fraction:
-    if isinstance(z, QComplex):
-        return z.abs2()
-    z = complex(z)
-    return z.real * z.real + z.imag * z.imag
-
-
-def absval(z) -> float:
-    return abs(z)
-
-
 def is_zero(z, tol: float = 0.0) -> bool:
     """Zero test: exact equality for QComplex, |z| <= tol otherwise."""
     if isinstance(z, QComplex):
-        return z.re == 0 and z.im == 0
+        return not z._a and not z._b
     return abs(complex(z)) <= tol
-
-
-def close(z, w, tol: float) -> bool:
-    if isinstance(z, QComplex) and isinstance(w, QComplex):
-        return z == w
-    return abs(complex(z) - complex(w)) <= tol
-
-
-def scalar_add(z, w):
-    return z + w
-
-
-def scalar_mul(z, w):
-    return z * w
 
 
 def unit_pow(lam, n: int):
@@ -157,10 +197,6 @@ def unit_pow(lam, n: int):
     return out
 
 
-def to_complex(z) -> complex:
-    return complex(z)
-
-
 def roots_of_unity(order: int) -> list[complex]:
     """The order-th roots of unity as floats, starting at 1."""
     return [cmath.exp(2j * math.pi * k / order) for k in range(order)]
@@ -169,5 +205,5 @@ def roots_of_unity(order: int) -> list[complex]:
 def rational_circle_point(t) -> QComplex:
     """Exact unimodular scalar ((1-t^2) + 2t i)/(1+t^2) for rational t."""
     t = Fraction(t)
-    d = 1 + t * t
-    return QComplex((1 - t * t) / d, 2 * t / d)
+    p, q = t.numerator, t.denominator
+    return _reduced(q * q - p * p, 2 * p * q, q * q + p * p)

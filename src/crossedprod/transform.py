@@ -12,8 +12,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import scalars as sc
 from .algebra import Element, alg_adj, alg_mul, demote_to_float, from_func
 from .dynsys import (
@@ -94,6 +92,8 @@ class TorusSubset:
 
 def unit_roots_of_poly(coeffs, tol: float = DEFAULT_TOL) -> list[complex]:
     """Unit-circle roots of sum_i coeffs[i] mu^i."""
+    import numpy as np  # deferred: only root finding needs it, and it is costly to load
+
     cs = [complex(c) for c in coeffs]
     while cs and abs(cs[-1]) <= tol:
         cs.pop()

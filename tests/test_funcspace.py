@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crossedprod import scalars as sc
+from crossedprod.algebra import element
 from crossedprod.dynsys import (
     FiniteSet, ShiftSet, pt, INF,
     set_subset, set_union, turns_eq,
@@ -15,7 +16,7 @@ from crossedprod.funcspace import (
     cx_basis, f_add, f_algnorm, f_compose_sigma, f_conj, f_eval,
     f_mul, f_supnorm_bounds, f_zero_set,
     finite_func, func_close, point_indicator, separating_func,
-    shift_func, trig_poly, vanishes_on,
+    shift_func, trig_poly, union_func, vanishes_on,
 )
 from crossedprod.sampling import random_func
 
@@ -176,6 +177,50 @@ def test_mode_mixing_rejected(cycle3):
     with pytest.raises(ModeMismatchError):
         trig_poly(__import__("crossedprod.dynsys", fromlist=["RotationSystem"])
                   .RotationSystem(Fraction(1, 3), irrational=False), {0: sc.qc(1)})
+
+
+def test_boundary_validation(cycle3, shift, shift_union_cycle3):
+    # public constructors check what the kernels later trust
+    with pytest.raises(ModeMismatchError):
+        finite_func(cycle3, (sc.qc(1), 1 + 0j, sc.qc(0)))
+    with pytest.raises(ModeMismatchError):
+        shift_func(shift, sc.qc(1), {2: 1 + 0j})
+    with pytest.raises(SystemMismatchError):
+        finite_func(cycle3, (1 + 0j, 0j))
+    on_cycle3 = finite_func(cycle3, (1 + 0j, 0j, 0j))
+    on_shift = shift_func(shift, 1 + 0j)
+    with pytest.raises(SystemMismatchError):
+        union_func(shift_union_cycle3, (on_cycle3, on_cycle3))
+    with pytest.raises(SystemMismatchError):
+        union_func(shift_union_cycle3, (on_shift,))
+    with pytest.raises(ModeMismatchError):
+        union_func(shift_union_cycle3,
+                   (on_shift, finite_func(cycle3, (sc.qc(1), sc.qc(0), sc.qc(0)))))
+    with pytest.raises(SystemMismatchError):
+        element(cycle3, {0: on_shift})
+    with pytest.raises(SystemMismatchError):
+        element(shift_union_cycle3, {1: on_cycle3})
+    # the mode is decided once, at construction
+    assert finite_func(cycle3, (sc.qc(1), sc.qc(0), sc.qc(2))).exact
+    assert not on_cycle3.exact
+    assert union_func(shift_union_cycle3,
+                      (shift_func(shift, sc.qc(1)), finite_func(cycle3, (sc.qc(1),) * 3))).exact
+
+
+def test_kernel_results_in_normal_form(shift, golden_rotation, shift_union_cycle3, rng):
+    # results equal the validated construction of the same values
+    f = shift_func(shift, sc.qc(1), {2: sc.qc(3), 5: sc.qc(2)})
+    g = shift_func(shift, sc.qc(0), {2: sc.qc(-2)})
+    h = f_add(f, g)
+    assert h.data == (sc.qc(1), {5: sc.qc(2)})
+    assert h == shift_func(shift, sc.qc(1), {2: sc.qc(1), 5: sc.qc(2)}) and h.exact
+    z = shift_func(shift, 0j, {1: 2 + 0j})
+    assert f_mul(z, shift_func(shift, 1 + 0j, {1: 0j})).data == (0j, {})
+    p = trig_poly(golden_rotation, {1: 1 + 0j, 2: 1j})
+    q = trig_poly(golden_rotation, {1: -1 + 0j})
+    assert f_add(p, q).data == {2: 1j} and not f_add(p, q).exact
+    u = random_func(shift_union_cycle3, rng, exact=True)
+    assert f_compose_sigma(f_conj(u), 2).exact
 
 
 def test_system_mismatch_rejected(cycle3, shift):

@@ -11,7 +11,7 @@ from crossedprod.algebra import (
     unit, zero_element,
 )
 from crossedprod.dynsys import (
-    INF, FiniteSet, ShiftSet, apply_sigma,
+    INF, FiniteSet, FiniteSystem, ShiftSet, apply_sigma,
     orbit_points, pt, whole_space,
 )
 from crossedprod.errors import UnsupportedQueryError
@@ -25,7 +25,7 @@ from crossedprod.reps_ideals import (
     rep_periodic, restrict_system, separating_check,
 )
 from crossedprod.sampling import (
-    canonical_handles, random_element, random_member,
+    canonical_handles, random_element, random_func, random_member,
 )
 
 
@@ -78,6 +78,64 @@ def test_rep_exact_mode(cycle3):
     a = escape_element(one_func(cycle3, exact=True), lam, 3)
     M = rep_periodic(cycle3, pt(0), lam, a)
     assert rep_is_zero(M, 0.0)
+
+
+def dense_rep_periodic(system, x, p, lam, a, exact):
+    """sum_n diag(a_n along the orbit) D^n with D^n a product of dense
+    matrices: D has ones below the diagonal and lam in the top-right corner,
+    and negative powers use the conjugate transpose."""
+    one, zero = sc.one_like(exact), sc.zero_like(exact)
+    D = [[zero] * p for _ in range(p)]
+    for k in range(p - 1):
+        D[k + 1][k] = one
+    D[0][p - 1] = lam
+    Dstar = [[sc.conj(D[j][i]) for j in range(p)] for i in range(p)]
+
+    def matmul(A, B):
+        out = []
+        for i in range(p):
+            row = []
+            for j in range(p):
+                acc = A[i][0] * B[0][j]
+                for k in range(1, p):
+                    acc = acc + A[i][k] * B[k][j]
+                row.append(acc)
+            out.append(row)
+        return out
+
+    total = [[zero] * p for _ in range(p)]
+    for n, f in a.coeffs.items():
+        P = [[one if i == j else zero for j in range(p)] for i in range(p)]
+        for _ in range(abs(n)):
+            P = matmul(P, D if n >= 0 else Dstar)
+        for i in range(p):
+            v = f_eval(f, apply_sigma(system, x, i))
+            for j in range(p):
+                total[i][j] = total[i][j] + v * P[i][j]
+    return total
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+def test_rep_periodic_matches_dense_powers(perm1235, p, exact, rng):
+    # base points of period 1, 2, 3 and 5 in perm1235; an 8-cycle for 8
+    if p == 8:
+        system, x = FiniteSystem(8, (1, 2, 3, 4, 5, 6, 7, 0)), pt(0)
+    else:
+        system, x = perm1235, pt({1: 0, 2: 1, 3: 3, 5: 6}[p])
+    lam = sc.rational_circle_point(Fraction(2, 3)) if exact \
+        else cmath.exp(2j * math.pi * 0.137)
+    a = element(system, {n: random_func(system, rng, exact)
+                         for n in range(-2 * p - 1, 2 * p + 2)})
+    M = rep_periodic(system, x, lam, a)
+    want = dense_rep_periodic(system, x, p, lam, a, exact)
+    assert M.period == p and M.dim == p
+    for i in range(p):
+        for j in range(p):
+            got = M.entries[i][j]
+            assert sc.is_exact(got) == exact
+            # exactly equal in float mode too: the same products, summed in order
+            assert got == want[i][j], (i, j)
 
 
 def test_rep_aperiodic_window_entries(shift, rng):
