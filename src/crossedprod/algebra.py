@@ -12,11 +12,8 @@ from dataclasses import dataclass, field
 
 from . import scalars as sc
 from .dynsys import Point, validate_point
-from .errors import SystemMismatchError
-from .funcspace import (
-    Func, f_add, f_algnorm, f_compose_sigma, f_conj, f_eval, f_is_zero,
-    f_mul, f_scale, f_sub, one_func, zero_func,
-)
+from .errors import ModeMismatchError, SystemMismatchError
+from .funcspace import Func, f_is_zero, f_sub, one_func, zero_func
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +33,7 @@ class Element:
             if not f_is_zero(f):
                 clean[int(n)] = f
         if len({f.exact for f in clean.values()}) > 1:
-            raise SystemMismatchError("coefficients mix numeric modes")
+            raise ModeMismatchError("coefficients mix numeric modes")
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "exact", any(f.exact for f in clean.values()))
 
@@ -96,14 +93,15 @@ def _check_pair(a: Element, b: Element) -> None:
 
 def alg_add(a: Element, b: Element) -> Element:
     _check_pair(a, b)
+    add = a.system.add
     out = dict(a.coeffs)
     for n, f in b.coeffs.items():
-        out[n] = f_add(out[n], f) if n in out else f
+        out[n] = add(out[n], f) if n in out else f
     return _element(a.system, out)
 
 
 def alg_scale(c, a: Element) -> Element:
-    return _element(a.system, {n: f_scale(c, f) for n, f in a.coeffs.items()})
+    return _element(a.system, {n: a.system.scale(c, f) for n, f in a.coeffs.items()})
 
 
 def alg_neg(a: Element) -> Element:
@@ -117,27 +115,27 @@ def alg_sub(a: Element, b: Element) -> Element:
 def alg_mul(a: Element, b: Element) -> Element:
     """Twisted convolution: coefficient n collects a_k . (b_{n-k} o sigma^{-k})."""
     _check_pair(a, b)
+    system = a.system
+    add, mul, compose = system.add, system.mul, system.compose_sigma
     out: dict = {}
     for k, ak in a.coeffs.items():
         for m, bm in b.coeffs.items():
             n = k + m
-            term = f_mul(ak, f_compose_sigma(bm, -k))
-            out[n] = f_add(out[n], term) if n in out else term
-    return _element(a.system, out)
+            term = mul(ak, compose(bm, -k))
+            out[n] = add(out[n], term) if n in out else term
+    return _element(system, out)
 
 
 def alg_adj(a: Element) -> Element:
     """Involution: coefficient n is the conjugate of a_{-n} o sigma^{-n}."""
-    out = {}
-    for m, g in a.coeffs.items():
-        n = -m
-        out[n] = f_conj(f_compose_sigma(g, -n))
-    return _element(a.system, out)
+    system = a.system
+    return _element(system, {-m: system.conj(system.compose_sigma(g, m))
+                             for m, g in a.coeffs.items()})
 
 
 def alg_norm(a: Element) -> float:
     """Sum of the coefficient norms."""
-    return float(sum(f_algnorm(f) for f in a.coeffs.values()))
+    return float(sum(a.system.algnorm(f) for f in a.coeffs.values()))
 
 
 def expectation(a: Element) -> Func:
@@ -148,7 +146,7 @@ def expectation(a: Element) -> Func:
 def dual_action(a: Element, lam) -> Element:
     """Scale the n-th coefficient by lam**n for unimodular lam."""
     return _element(a.system, {
-        n: f_scale(sc.unit_pow(lam, n), f) for n, f in a.coeffs.items()
+        n: a.system.scale(sc.unit_pow(lam, n), f) for n, f in a.coeffs.items()
     })
 
 
@@ -169,7 +167,7 @@ def fourier_eval(a: Element, x: Point, lam):
     validate_point(a.system, x)
     total = None
     for n, f in a.coeffs.items():
-        term = sc.unit_pow(lam, n) * f_eval(f, x)
+        term = sc.unit_pow(lam, n) * a.system.eval(f, x)
         total = term if total is None else total + term
     if total is None:
         return sc.zero_like(a.exact)
@@ -178,20 +176,7 @@ def fourier_eval(a: Element, x: Point, lam):
 
 def demote_to_float(a: Element) -> Element:
     """Copy of the element with exact scalars converted to complex."""
-    from .dynsys import FiniteSystem, RotationSystem, ShiftSystem
-
-    def dem(f: Func) -> Func:
-        system = f.system
-        if isinstance(system, FiniteSystem):
-            return Func(system, tuple(complex(v) for v in f.data))
-        if isinstance(system, ShiftSystem):
-            v, e = f.data
-            return Func(system, (complex(v), {n: complex(w) for n, w in e.items()}))
-        if isinstance(system, RotationSystem):
-            return f
-        return Func(system, tuple(dem(p) for p in f.data))
-
-    return _element(a.system, {n: dem(f) for n, f in a.coeffs.items()})
+    return _element(a.system, {n: a.system.demote(f) for n, f in a.coeffs.items()})
 
 
 def elem_is_zero(a: Element, tol: float = 0.0) -> bool:

@@ -1,20 +1,26 @@
-"""Desk-scale models of compact dynamical systems.
+"""Desk-scale models of compact dynamical systems and of their functions.
 
 Four models are supported: a finite permutation system, the one-point
 compactification of the integer shift, a circle rotation (with a declared
-irrationality flag), and finite disjoint unions of these.  Closed subsets
-are stored in model-specific normal forms that are closed under the set
-algebra the hull/kernel machinery needs.
+irrationality flag), and finite disjoint unions of these.  Each system class
+owns its model: point checks and sigma iteration, closed subsets in a
+normal form closed under the set algebra the hull/kernel machinery needs,
+and the kernels of the function model :class:`Func`.  The union implements
+every method once, as a product over its components.  The module-level
+functions check their arguments and call the method.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import SystemMismatchError, UnsupportedQueryError
+from . import scalars as sc
+from .errors import ModeMismatchError, SystemMismatchError, UnsupportedQueryError
 
 TURN_TOL = 1e-9
 
@@ -79,84 +85,6 @@ GOLDEN_CONJUGATE = Surd(-1, 1, 5, 2)
 
 
 # ---------------------------------------------------------------------------
-# Systems
-
-
-@dataclass(frozen=True)
-class FiniteSystem:
-    """Permutation dynamics on {0, ..., size-1}."""
-
-    size: int
-    sigma: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("finite system needs at least one point")
-        if sorted(self.sigma) != list(range(self.size)):
-            raise ValueError("sigma is not a permutation of the point set")
-
-    def sigma_inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.size
-        for i, j in enumerate(self.sigma):
-            inv[j] = i
-        return tuple(inv)
-
-
-@dataclass(frozen=True)
-class ShiftSystem:
-    """n -> n+1 on the one-point compactification of the integers."""
-
-
-@dataclass(frozen=True)
-class RotationSystem:
-    """Rotation of the circle by ``theta`` turns.
-
-    Freeness is a declaration, not a numeric guess: ``irrational=True``
-    marks the angle as irrational, and then the angle should be a Surd.
-    With ``irrational=False`` the angle is coerced to an exact Fraction,
-    making every point periodic with the denominator as period.
-    """
-
-    theta: object  # Surd | Fraction | float
-    irrational: bool = True
-
-    def __post_init__(self):
-        th = self.theta
-        if not self.irrational and not isinstance(th, Fraction):
-            object.__setattr__(self, "theta", Fraction(th))
-        v = self.theta_value()
-        if not 0 < v < 1:
-            raise ValueError("theta must lie strictly between 0 and 1 turns")
-
-    def theta_value(self) -> float:
-        if isinstance(self.theta, Surd):
-            return self.theta.value()
-        return float(self.theta)
-
-    def theta_times_mod1(self, m: int):
-        """m * theta mod 1; Fraction for rational angles, float otherwise."""
-        if isinstance(self.theta, Surd):
-            return self.theta.times_mod1(m)
-        if isinstance(self.theta, Fraction):
-            return (self.theta * m) % 1
-        return (self.theta * m) % 1.0
-
-
-@dataclass(frozen=True)
-class UnionSystem:
-    """Disjoint union acting componentwise."""
-
-    components: tuple
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("union of no systems")
-
-
-DynamicalSystem = object  # FiniteSystem | ShiftSystem | RotationSystem | UnionSystem
-
-
-# ---------------------------------------------------------------------------
 # Points
 
 
@@ -195,105 +123,6 @@ def turns_eq(a, b, tol: float = TURN_TOL) -> bool:
     return d <= tol or 1.0 - d <= tol
 
 
-def leaf_system(sys, path: tuple[int, ...]):
-    for i in path:
-        if not isinstance(sys, UnionSystem):
-            raise SystemMismatchError("point path descends below a leaf system")
-        if not 0 <= i < len(sys.components):
-            raise SystemMismatchError("component index out of range")
-        sys = sys.components[i]
-    if isinstance(sys, UnionSystem):
-        raise SystemMismatchError("point path stops at a union, not a leaf")
-    return sys
-
-
-def validate_point(sys, x: Point) -> None:
-    leaf = leaf_system(sys, x.path)
-    c = x.coord
-    if isinstance(leaf, FiniteSystem):
-        if not (isinstance(c, int) and 0 <= c < leaf.size):
-            raise SystemMismatchError(f"{c!r} is not a point of the finite system")
-    elif isinstance(leaf, ShiftSystem):
-        if not (c is INF or isinstance(c, int)):
-            raise SystemMismatchError(f"{c!r} is not a shift point")
-    elif isinstance(leaf, RotationSystem):
-        if not isinstance(c, (Fraction, float, int)):
-            raise SystemMismatchError(f"{c!r} is not a rotation point")
-    else:
-        raise SystemMismatchError("unknown system kind")
-
-
-@lru_cache(maxsize=4096)
-def sigma_power_map(leaf: FiniteSystem, k: int) -> tuple:
-    """The permutation sigma^k as an image tuple."""
-    if k == 0:
-        return tuple(range(leaf.size))
-    step = leaf.sigma if k > 0 else leaf.sigma_inverse()
-    out = list(range(leaf.size))
-    for _ in range(abs(k)):
-        out = [step[i] for i in out]
-    return tuple(out)
-
-
-def apply_sigma(sys, x: Point, k: int) -> Point:
-    """k-th iterate of the homeomorphism applied to x."""
-    validate_point(sys, x)
-    leaf = leaf_system(sys, x.path)
-    if isinstance(leaf, FiniteSystem):
-        return Point(sigma_power_map(leaf, k % _lcm_order(leaf))[x.coord], x.path)
-    if isinstance(leaf, ShiftSystem):
-        if x.coord is INF:
-            return x
-        return Point(x.coord + k, x.path)
-    # rotation
-    step = leaf.theta_times_mod1(k)
-    if isinstance(x.coord, Fraction) and isinstance(step, Fraction):
-        return Point((x.coord + step) % 1, x.path)
-    return Point((float(x.coord) + float(step)) % 1.0, x.path)
-
-
-def _orbit_len(leaf: FiniteSystem, i: int) -> int:
-    j = leaf.sigma[i]
-    n = 1
-    while j != i:
-        j = leaf.sigma[j]
-        n += 1
-    return n
-
-
-@lru_cache(maxsize=1024)
-def _lcm_order(leaf: FiniteSystem) -> int:
-    order = 1
-    for i in range(leaf.size):
-        order = math.lcm(order, _orbit_len(leaf, i))
-    return order
-
-
-def period(sys, x: Point):
-    """Least p >= 1 with sigma^p(x) = x, or None for aperiodic points."""
-    validate_point(sys, x)
-    leaf = leaf_system(sys, x.path)
-    if isinstance(leaf, FiniteSystem):
-        return _orbit_len(leaf, x.coord)
-    if isinstance(leaf, ShiftSystem):
-        return 1 if x.coord is INF else None
-    if leaf.irrational:
-        return None
-    return leaf.theta.denominator
-
-
-def is_periodic(sys, x: Point) -> bool:
-    return period(sys, x) is not None
-
-
-def orbit_points(sys, x: Point) -> list[Point]:
-    """The forward orbit of a periodic point, starting at x."""
-    p = period(sys, x)
-    if p is None:
-        raise UnsupportedQueryError("orbit_points needs a periodic point")
-    return [apply_sigma(sys, x, k) for k in range(p)]
-
-
 # ---------------------------------------------------------------------------
 # Closed sets
 
@@ -304,6 +133,9 @@ class FiniteSet:
 
     def __repr__(self):
         return "{" + ",".join(str(i) for i in sorted(self.points)) + "}"
+
+    def is_empty(self) -> bool:
+        return not self.points
 
 
 @dataclass(frozen=True)
@@ -330,6 +162,9 @@ class ShiftSet:
             return "co{" + ints + "}"
         return "{" + (("inf," + ints) if self.has_inf else ints).rstrip(",") + "}"
 
+    def is_empty(self) -> bool:
+        return not self.cofinite and not self.ints and not self.has_inf
+
 
 @dataclass(frozen=True)
 class CircleSet:
@@ -340,6 +175,9 @@ class CircleSet:
         if self.whole:
             return "circle"
         return "{" + ",".join(_fmt_turn(t) for t in self.turns) + "}"
+
+    def is_empty(self) -> bool:
+        return not self.whole and not self.turns
 
 
 def _fmt_turn(t):
@@ -353,8 +191,8 @@ class UnionSet:
     def __repr__(self):
         return "u[" + "; ".join(repr(p) for p in self.parts) + "]"
 
-
-ClosedSet = object  # FiniteSet | ShiftSet | CircleSet | UnionSet
+    def is_empty(self) -> bool:
+        return all(p.is_empty() for p in self.parts)
 
 
 def _circle_points(turns_iter) -> CircleSet:
@@ -366,358 +204,238 @@ def _circle_points(turns_iter) -> CircleSet:
     return CircleSet(False, tuple(sorted(uniq, key=float)))
 
 
-def empty_set(sys) -> ClosedSet:
-    if isinstance(sys, FiniteSystem):
+# ---------------------------------------------------------------------------
+# Functions
+
+
+@dataclass(frozen=True, slots=True)
+class Func:
+    """A function in the C(X) model of its system.
+
+    data layout:
+      finite system   -> tuple of scalars, one per point
+      shift system    -> (value at infinity, {n: value} finite exceptions)
+      rotation system -> {frequency: coefficient} trigonometric polynomial
+      union system    -> tuple of component Funcs
+
+    ``Func(system, data)`` validates its data and decides the numeric mode
+    once; the kernels build their results through :func:`_func`, which
+    trusts its inputs.
+    """
+
+    system: object
+    data: object
+    exact: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        data, exact = self.system.normal_form(self.data)
+        _set_data(self, data)
+        _set_exact(self, exact)
+
+
+_alloc = object.__new__
+_set_system = Func.system.__set__
+_set_data = Func.data.__set__
+_set_exact = Func.exact.__set__
+
+
+def _func(system, data, exact: bool) -> Func:
+    """Trusted constructor: data is already in normal form and in one mode."""
+    f = _alloc(Func)
+    _set_system(f, system)
+    _set_data(f, data)
+    _set_exact(f, exact)
+    return f
+
+
+def _shift(system, v_inf, exc: dict, exact: bool) -> Func:
+    """Trusted shift result: drops exceptions equal to the value at infinity."""
+    return _func(system, (v_inf, {n: v for n, v in exc.items() if v != v_inf}), exact)
+
+
+def _trig(system, coeffs: dict) -> Func:
+    """Trusted rotation result: drops zero coefficients (always float)."""
+    return _func(system, {k: c for k, c in coeffs.items() if c}, False)
+
+
+def grid_size(f: Func) -> int:
+    maxfreq = max((abs(k) for k in f.data), default=0)
+    return 8 * maxfreq + 16
+
+
+@lru_cache(maxsize=8192)
+def rotation_phase(system: RotationSystem, m: int) -> complex:
+    """exp(2 pi i theta m), reduced mod 1 before exponentiating."""
+    return cmath.exp(2j * math.pi * float(system.theta_times_mod1(m)))
+
+
+def unit_circle_roots(coeffs: dict, tol: float) -> list[float]:
+    """Turns of the unit-circle roots of sum_k c_k z^k."""
+    import numpy as np  # deferred: only root finding needs it, and it is costly to load
+
+    lo = min(coeffs)
+    hi = max(coeffs)
+    poly = [complex(coeffs.get(k, 0j)) for k in range(hi, lo - 1, -1)]
+    roots = np.roots(poly) if len(poly) > 1 else []
+    turns = []
+    for r in roots:
+        if abs(abs(r) - 1.0) <= max(tol, 1e-7):
+            t = (cmath.phase(complex(r)) / (2 * math.pi)) % 1.0
+            if not any(turns_eq(t, u) for u in turns):
+                turns.append(t)
+    return sorted(turns)
+
+
+# ---------------------------------------------------------------------------
+# Systems
+
+
+class _Leaf:
+    """Methods shared by the three leaf models.
+
+    A point handed to a leaf method may carry the path of the union the
+    leaf sits in: leaf methods read only its coordinate and keep its path.
+    """
+
+    def leaf(self, path: tuple[int, ...]):
+        if path:
+            raise SystemMismatchError("point path descends below a leaf system")
+        return self
+
+    def orbit_points(self, x: Point) -> list[Point]:
+        return [self.apply_sigma(x, k) for k in range(self.period(x))]
+
+    def orbit_closure(self, x: Point):
+        if self.period(x) is None:
+            # aperiodic orbits (shift integers, irrational rotations) are dense
+            return self.whole_space()
+        return self.points_to_set(self.orbit_points(x))
+
+    def orbit_reps(self) -> list[Point]:
+        whole = self.whole_space()
+        try:
+            return self.all_orbits_in(whole)
+        except UnsupportedQueryError:
+            return self.cover_representatives(whole)
+
+    # Finite and shift functions are values at points, changed pointwise
+    # through _map and _combine; the rotation's coefficient model overrides.
+
+    def add(self, f: Func, g: Func) -> Func:
+        return self._combine(f, g, operator.add)
+
+    def mul(self, f: Func, g: Func) -> Func:
+        return self._combine(f, g, operator.mul)
+
+    def scale(self, c, f: Func) -> Func:
+        return self._map(f, lambda v: c * v, f.exact)
+
+    def conj(self, f: Func) -> Func:
+        return self._map(f, sc.conj, f.exact)
+
+    def demote(self, f: Func) -> Func:
+        return self._map(f, complex, False)
+
+    def inverse(self, f: Func):
+        if any(sc.is_zero(v) for v in self.scalars(f.data)):
+            return None
+        one = sc.one_like(f.exact)
+        return self._map(f, lambda v: one / v, f.exact)
+
+    def supnorm_bounds(self, f: Func) -> tuple[float, float]:
+        m = max((abs(v) for v in self.scalars(f.data)), default=0.0)
+        return (m, m)
+
+    def algnorm(self, f: Func) -> float:
+        return self.supnorm_bounds(f)[0]
+
+    def exceptional_ints(self, f: Func) -> set:
+        return set()
+
+
+@dataclass(frozen=True)
+class FiniteSystem(_Leaf):
+    """Permutation dynamics on {0, ..., size-1}."""
+
+    size: int
+    sigma: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError("finite system needs at least one point")
+        if sorted(self.sigma) != list(range(self.size)):
+            raise ValueError("sigma is not a permutation of the point set")
+
+    def sigma_inverse(self) -> tuple[int, ...]:
+        inv = [0] * self.size
+        for i, j in enumerate(self.sigma):
+            inv[j] = i
+        return tuple(inv)
+
+    # points and dynamics
+
+    def check_coord(self, c) -> None:
+        if not (isinstance(c, int) and 0 <= c < self.size):
+            raise SystemMismatchError(f"{c!r} is not a point of the finite system")
+
+    def apply_sigma(self, x: Point, k: int) -> Point:
+        return Point(sigma_power_map(self, k % _lcm_order(self))[x.coord], x.path)
+
+    def period(self, x: Point):
+        return _orbit_len(self, x.coord)
+
+    # closed sets
+
+    def empty_set(self):
         return FiniteSet(frozenset())
-    if isinstance(sys, ShiftSystem):
-        return ShiftSet(frozenset())
-    if isinstance(sys, RotationSystem):
-        return CircleSet(False, ())
-    return UnionSet(tuple(empty_set(c) for c in sys.components))
 
+    def whole_space(self):
+        return FiniteSet(frozenset(range(self.size)))
 
-def whole_space(sys) -> ClosedSet:
-    if isinstance(sys, FiniteSystem):
-        return FiniteSet(frozenset(range(sys.size)))
-    if isinstance(sys, ShiftSystem):
-        return ShiftSet(frozenset(), has_inf=True, cofinite=True)
-    if isinstance(sys, RotationSystem):
-        return CircleSet(True)
-    return UnionSet(tuple(whole_space(c) for c in sys.components))
-
-
-def _check_set(sys, S) -> None:
-    if isinstance(sys, FiniteSystem):
+    def check_set(self, S) -> None:
         if not isinstance(S, FiniteSet):
             raise SystemMismatchError("expected a finite-system set")
-        if any(not (0 <= i < sys.size) for i in S.points):
+        if any(not (0 <= i < self.size) for i in S.points):
             raise SystemMismatchError("set mentions points outside the system")
-    elif isinstance(sys, ShiftSystem):
-        if not isinstance(S, ShiftSet):
-            raise SystemMismatchError("expected a shift set")
-    elif isinstance(sys, RotationSystem):
-        if not isinstance(S, CircleSet):
-            raise SystemMismatchError("expected a circle set")
-    else:
-        if not isinstance(S, UnionSet) or len(S.parts) != len(sys.components):
-            raise SystemMismatchError("union set arity mismatch")
-        for c, p in zip(sys.components, S.parts):
-            _check_set(c, p)
 
-
-def set_contains(sys, S: ClosedSet, x: Point) -> bool:
-    _check_set(sys, S)
-    validate_point(sys, x)
-    if isinstance(sys, UnionSystem):
-        i = x.path[0]
-        return set_contains(sys.components[i], S.parts[i], Point(x.coord, x.path[1:]))
-    if isinstance(sys, FiniteSystem):
+    def contains(self, S, x: Point) -> bool:
         return x.coord in S.points
-    if isinstance(sys, ShiftSystem):
-        if S.cofinite:
-            return True if x.coord is INF else x.coord not in S.ints
-        if x.coord is INF:
-            return S.has_inf
-        return x.coord in S.ints
-    if S.whole:
-        return True
-    return any(turns_eq(x.coord, t) for t in S.turns)
 
-
-def set_is_empty(S: ClosedSet) -> bool:
-    if isinstance(S, FiniteSet):
-        return not S.points
-    if isinstance(S, ShiftSet):
-        return not S.cofinite and not S.ints and not S.has_inf
-    if isinstance(S, CircleSet):
-        return not S.whole and not S.turns
-    return all(set_is_empty(p) for p in S.parts)
-
-
-def set_union(sys, A: ClosedSet, B: ClosedSet) -> ClosedSet:
-    _check_set(sys, A)
-    _check_set(sys, B)
-    if isinstance(sys, UnionSystem):
-        return UnionSet(tuple(
-            set_union(c, a, b) for c, a, b in zip(sys.components, A.parts, B.parts)
-        ))
-    if isinstance(sys, FiniteSystem):
+    def union(self, A, B):
         return FiniteSet(A.points | B.points)
-    if isinstance(sys, ShiftSystem):
-        if A.cofinite and B.cofinite:
-            return ShiftSet(A.ints & B.ints, True, True)
-        if A.cofinite or B.cofinite:
-            co, fin = (A, B) if A.cofinite else (B, A)
-            return ShiftSet(co.ints - fin.ints, True, True)
-        return ShiftSet(A.ints | B.ints, A.has_inf or B.has_inf)
-    if A.whole or B.whole:
-        return CircleSet(True)
-    return _circle_points(list(A.turns) + list(B.turns))
 
-
-def set_intersect(sys, A: ClosedSet, B: ClosedSet) -> ClosedSet:
-    _check_set(sys, A)
-    _check_set(sys, B)
-    if isinstance(sys, UnionSystem):
-        return UnionSet(tuple(
-            set_intersect(c, a, b) for c, a, b in zip(sys.components, A.parts, B.parts)
-        ))
-    if isinstance(sys, FiniteSystem):
+    def intersect(self, A, B):
         return FiniteSet(A.points & B.points)
-    if isinstance(sys, ShiftSystem):
-        if A.cofinite and B.cofinite:
-            return ShiftSet(A.ints | B.ints, True, True)
-        if A.cofinite or B.cofinite:
-            co, fin = (A, B) if A.cofinite else (B, A)
-            return ShiftSet(fin.ints - co.ints, fin.has_inf)
-        return ShiftSet(A.ints & B.ints, A.has_inf and B.has_inf)
-    if A.whole:
-        return B
-    if B.whole:
-        return A
-    return _circle_points(t for t in A.turns if any(turns_eq(t, u) for u in B.turns))
 
-
-def set_subset(sys, A: ClosedSet, B: ClosedSet) -> bool:
-    """A is contained in B."""
-    _check_set(sys, A)
-    _check_set(sys, B)
-    if isinstance(sys, UnionSystem):
-        return all(set_subset(c, a, b)
-                   for c, a, b in zip(sys.components, A.parts, B.parts))
-    if isinstance(sys, FiniteSystem):
+    def subset(self, A, B) -> bool:
         return A.points <= B.points
-    if isinstance(sys, ShiftSystem):
-        if A.cofinite:
-            return B.cofinite and B.ints <= A.ints
-        if B.cofinite:
-            return not (A.ints & B.ints)
-        return A.ints <= B.ints and (B.has_inf or not A.has_inf)
-    if B.whole:
-        return True
-    if A.whole:
-        return False
-    return all(any(turns_eq(t, u) for u in B.turns) for t in A.turns)
 
-
-def set_equal(sys, A: ClosedSet, B: ClosedSet) -> bool:
-    return set_subset(sys, A, B) and set_subset(sys, B, A)
-
-
-def orbit_set(sys, x: Point) -> ClosedSet:
-    """The (finite, closed) orbit of a periodic point as a closed set."""
-    pts = orbit_points(sys, x)
-    return _points_to_set(sys, pts)
-
-
-def _points_to_set(sys, pts: list[Point]) -> ClosedSet:
-    if isinstance(sys, UnionSystem):
-        parts = []
-        for i, c in enumerate(sys.components):
-            sub = [Point(p.coord, p.path[1:]) for p in pts if p.path and p.path[0] == i]
-            parts.append(_points_to_set(c, sub))
-        return UnionSet(tuple(parts))
-    if isinstance(sys, FiniteSystem):
+    def points_to_set(self, pts):
         return FiniteSet(frozenset(p.coord for p in pts))
-    if isinstance(sys, ShiftSystem):
-        ints = frozenset(p.coord for p in pts if p.coord is not INF)
-        return ShiftSet(ints, any(p.coord is INF for p in pts))
-    return _circle_points(p.coord for p in pts)
 
-
-def orbit_closure(sys, x: Point) -> ClosedSet:
-    """Closure of the orbit of x."""
-    p = period(sys, x)
-    if p is not None:
-        return orbit_set(sys, x)
-    leaf = leaf_system(sys, x.path)
-    if isinstance(leaf, ShiftSystem):
-        closure: ClosedSet = ShiftSet(frozenset(), True, True)
-    else:  # irrational rotation: orbits are dense
-        closure = CircleSet(True)
-    return _embed_set(sys, x.path, closure)
-
-
-def _embed_set(sys, path: tuple[int, ...], S: ClosedSet) -> ClosedSet:
-    if not path:
-        _check_set(sys, S)
-        return S
-    parts = list(empty_set(c) for c in sys.components)
-    parts[path[0]] = _embed_set(sys.components[path[0]], path[1:], S)
-    return UnionSet(tuple(parts))
-
-
-def largest_invariant_subset(sys, S: ClosedSet) -> ClosedSet:
-    """Points of S whose full orbit stays inside S; closed and invariant."""
-    _check_set(sys, S)
-    if isinstance(sys, UnionSystem):
-        return UnionSet(tuple(
-            largest_invariant_subset(c, p) for c, p in zip(sys.components, S.parts)
+    def largest_invariant_subset(self, S):
+        return FiniteSet(frozenset(
+            i for i in S.points
+            if all(q.coord in S.points for q in self.orbit_points(Point(i)))
         ))
-    if isinstance(sys, FiniteSystem):
-        keep = set()
-        for i in S.points:
-            orb = orbit_points(sys, Point(i))
-            if all(q.coord in S.points for q in orb):
-                keep.add(i)
-        return FiniteSet(frozenset(keep))
-    if isinstance(sys, ShiftSystem):
-        if S.cofinite:
-            if not S.ints:
-                return S
-            return ShiftSet(frozenset(), True)  # only infinity survives
-        return ShiftSet(frozenset(), S.has_inf)
-    if S.whole:
-        return S
-    if sys.irrational:
-        return CircleSet(False, ())
-    keep = [t for t in S.turns
-            if all(set_contains(sys, S, apply_sigma(sys, Point(t), k))
-                   for k in range(period(sys, Point(t))))]
-    return _circle_points(keep)
 
-
-def is_invariant_closed(sys, S: ClosedSet) -> bool:
-    return set_equal(sys, largest_invariant_subset(sys, S), S)
-
-
-def is_free(sys) -> bool:
-    """No periodic points in any component."""
-    if isinstance(sys, UnionSystem):
-        return all(is_free(c) for c in sys.components)
-    if isinstance(sys, RotationSystem):
-        return sys.irrational
-    return False
-
-
-def is_minimal(sys) -> bool:
-    """Every orbit dense."""
-    if isinstance(sys, UnionSystem):
-        if len(sys.components) == 1:
-            return is_minimal(sys.components[0])
-        return False
-    if isinstance(sys, FiniteSystem):
-        return _orbit_len(sys, 0) == sys.size
-    if isinstance(sys, ShiftSystem):
-        return False
-    return sys.irrational
-
-
-def some_periodic_point(sys) -> Point | None:
-    """A periodic point, or None on free systems."""
-    if isinstance(sys, UnionSystem):
-        for i, c in enumerate(sys.components):
-            x = some_periodic_point(c)
-            if x is not None:
-                return in_component(i, x)
-        return None
-    if isinstance(sys, FiniteSystem):
-        return Point(0)
-    if isinstance(sys, ShiftSystem):
-        return Point(INF)
-    if not sys.irrational:
-        return Point(Fraction(0))
-    return None
-
-
-def some_aperiodic_point(sys) -> Point | None:
-    if isinstance(sys, UnionSystem):
-        for i, c in enumerate(sys.components):
-            x = some_aperiodic_point(c)
-            if x is not None:
-                return in_component(i, x)
-        return None
-    if isinstance(sys, ShiftSystem):
-        return Point(0)
-    if isinstance(sys, RotationSystem) and sys.irrational:
-        return Point(0.0)
-    return None
-
-
-def cover_representatives(sys, S: ClosedSet) -> list[Point]:
-    """Orbit representatives whose orbit closures union up to S.
-
-    Defined for invariant closed S.  The answer is minimal in the sense
-    that representatives with orbit closures already covered are dropped
-    (an aperiodic shift orbit covers the fixed point at infinity).
-    """
-    _check_set(sys, S)
-    if isinstance(sys, UnionSystem):
-        out = []
-        for i, (c, p) in enumerate(zip(sys.components, S.parts)):
-            out.extend(in_component(i, x) for x in cover_representatives(c, p))
-        return out
-    if isinstance(sys, FiniteSystem):
+    def cover_representatives(self, S) -> list[Point]:
         seen: set = set()
         reps = []
         for i in sorted(S.points):
             if i not in seen:
                 reps.append(Point(i))
-                seen.update(q.coord for q in orbit_points(sys, Point(i)))
+                seen.update(q.coord for q in self.orbit_points(Point(i)))
         return reps
-    if isinstance(sys, ShiftSystem):
-        if S.cofinite:
-            if S.ints:
-                raise UnsupportedQueryError("shift set is not invariant")
-            return [Point(0)]
-        if S.ints:
-            raise UnsupportedQueryError("shift set is not invariant")
-        return [Point(INF)] if S.has_inf else []
-    if S.whole:
-        if sys.irrational:
-            return [Point(0.0)]
-        raise UnsupportedQueryError(
-            "the whole circle is not a finite union of orbit closures for a rational rotation"
-        )
-    if sys.irrational and S.turns:
-        raise UnsupportedQueryError("finite circle sets are not invariant under an irrational rotation")
-    return _rational_orbit_reps(sys, S.turns)
 
+    all_orbits_in = cover_representatives
 
-def _rational_orbit_reps(sys, turns) -> list[Point]:
-    reps: list[Point] = []
-    for t in turns:
-        if not any(any(turns_eq(q.coord, t) for q in orbit_points(sys, r)) for r in reps):
-            reps.append(Point(t))
-    return reps
-
-
-def all_orbits_in(sys, S: ClosedSet) -> list[Point]:
-    """One representative for every orbit contained in S.
-
-    Raises when the orbit family is infinite (rotation components whose
-    part of S is the whole circle).
-    """
-    _check_set(sys, S)
-    if isinstance(sys, UnionSystem):
-        out = []
-        for i, (c, p) in enumerate(zip(sys.components, S.parts)):
-            out.extend(in_component(i, x) for x in all_orbits_in(c, p))
-        return out
-    if isinstance(sys, FiniteSystem):
-        return cover_representatives(sys, S)
-    if isinstance(sys, ShiftSystem):
-        if S.cofinite:
-            reps = [Point(0)]
-            if S.has_inf:
-                reps.append(Point(INF))
-            return reps
-        return [Point(INF)] if S.has_inf else []
-    if S.whole:
-        raise UnsupportedQueryError("a full circle carries infinitely many orbits")
-    if sys.irrational:
-        raise UnsupportedQueryError("finite circle sets contain no full orbit under an irrational rotation")
-    return _rational_orbit_reps(sys, S.turns)
-
-
-def enumerate_invariant_closed_sets(sys) -> list[ClosedSet] | None:
-    """All invariant closed subsets, or None when there are infinitely many."""
-    if isinstance(sys, FiniteSystem):
-        if sys.size > 16:
+    def invariant_closed_sets(self):
+        if self.size > 16:
             raise UnsupportedQueryError("subset enumeration capped at 16 points")
-        reps = cover_representatives(sys, whole_space(sys))
-        orbits = [frozenset(q.coord for q in orbit_points(sys, r)) for r in reps]
-        sets: list[ClosedSet] = []
+        orbits = [frozenset(q.coord for q in self.orbit_points(r))
+                  for r in self.cover_representatives(self.whole_space())]
+        sets = []
         for mask in range(1 << len(orbits)):
             pts: frozenset = frozenset()
             for b, orb in enumerate(orbits):
@@ -725,28 +443,948 @@ def enumerate_invariant_closed_sets(sys) -> list[ClosedSet] | None:
                     pts |= orb
             sets.append(FiniteSet(pts))
         return sets
-    if isinstance(sys, ShiftSystem):
-        return [empty_set(sys), ShiftSet(frozenset(), True), whole_space(sys)]
-    if isinstance(sys, RotationSystem):
-        if sys.irrational:
-            return [empty_set(sys), whole_space(sys)]
+
+    def points(self) -> list[Point]:
+        return [Point(i) for i in range(self.size)]
+
+    def is_free(self) -> bool:
+        return False
+
+    def is_minimal(self) -> bool:
+        return _orbit_len(self, 0) == self.size
+
+    def some_periodic_point(self):
+        return Point(0)
+
+    def restriction(self, S):
+        keep = sorted(S.points)
+        index = {old: new for new, old in enumerate(keep)}
+        sub = FiniteSystem(len(keep), tuple(index[self.sigma[old]] for old in keep))
+
+        def pmap(x: Point) -> Point:
+            if x.coord not in index:
+                raise SystemMismatchError("point outside the subset")
+            return Point(index[x.coord])
+
+        def fmap(f: Func) -> Func:
+            return Func(sub, tuple(f.data[old] for old in keep))
+
+        return sub, pmap, fmap
+
+    # functions: a tuple of values, one per point
+
+    def normal_form(self, data):
+        data = tuple(data)
+        if len(data) != self.size:
+            raise SystemMismatchError("value vector length mismatch")
+        return data, sc.check_same_mode(data)
+
+    def scalars(self, data):
+        return data
+
+    def const(self, value) -> Func:
+        return Func(self, (value,) * self.size)
+
+    def _map(self, f: Func, fn, exact: bool) -> Func:
+        return _func(self, tuple(map(fn, f.data)), exact)
+
+    def _combine(self, f: Func, g: Func, op) -> Func:
+        return _func(self, tuple(map(op, f.data, g.data)), f.exact)
+
+    def compose_sigma(self, f: Func, k: int) -> Func:
+        m = sigma_power_map(self, k % _lcm_order(self))
+        return _func(self, tuple(map(f.data.__getitem__, m)), f.exact)
+
+    def eval(self, f: Func, x: Point):
+        return f.data[x.coord]
+
+    def zero_set(self, f: Func, tol: float):
+        return FiniteSet(frozenset(i for i, v in enumerate(f.data) if sc.is_zero(v, tol)))
+
+    def vanishes_on(self, f: Func, S, tol: float) -> bool:
+        return all(sc.is_zero(f.data[i], tol) for i in S.points)
+
+    def point_indicator(self, x: Point, exact: bool) -> Func:
+        one, zero = sc.one_like(exact), sc.zero_like(exact)
+        return _func(self, tuple(one if i == x.coord else zero for i in range(self.size)), exact)
+
+    def separating_func(self, S, x: Point, exact: bool) -> Func:
+        return self.point_indicator(x, exact)
+
+    def cx_basis(self, ints_window, max_freq: int, exact: bool) -> list[Func]:
+        return [self.point_indicator(Point(i), exact) for i in range(self.size)]
+
+    def zero_on(self, S, f: Func) -> Func:
+        zero = sc.zero_like(f.exact)
+        return _func(self, tuple(zero if i in S.points else v for i, v in enumerate(f.data)),
+                     f.exact)
+
+    def point_where_nonzero(self, f: Func, tol: float):
+        for i, v in enumerate(f.data):
+            if not sc.is_zero(v, tol):
+                return Point(i)
         return None
-    subs = [enumerate_invariant_closed_sets(c) for c in sys.components]
-    if any(s is None for s in subs):
+
+
+@dataclass(frozen=True)
+class ShiftSystem(_Leaf):
+    """n -> n+1 on the one-point compactification of the integers."""
+
+    # points and dynamics
+
+    def check_coord(self, c) -> None:
+        if not (c is INF or isinstance(c, int)):
+            raise SystemMismatchError(f"{c!r} is not a shift point")
+
+    def apply_sigma(self, x: Point, k: int) -> Point:
+        if x.coord is INF:
+            return x
+        return Point(x.coord + k, x.path)
+
+    def period(self, x: Point):
+        return 1 if x.coord is INF else None
+
+    # closed sets
+
+    def empty_set(self):
+        return ShiftSet(frozenset())
+
+    def whole_space(self):
+        return ShiftSet(frozenset(), has_inf=True, cofinite=True)
+
+    def check_set(self, S) -> None:
+        if not isinstance(S, ShiftSet):
+            raise SystemMismatchError("expected a shift set")
+
+    def contains(self, S, x: Point) -> bool:
+        if x.coord is INF:
+            return S.has_inf
+        return (x.coord not in S.ints) if S.cofinite else (x.coord in S.ints)
+
+    def union(self, A, B):
+        if A.cofinite and B.cofinite:
+            return ShiftSet(A.ints & B.ints, True, True)
+        if A.cofinite or B.cofinite:
+            co, fin = (A, B) if A.cofinite else (B, A)
+            return ShiftSet(co.ints - fin.ints, True, True)
+        return ShiftSet(A.ints | B.ints, A.has_inf or B.has_inf)
+
+    def intersect(self, A, B):
+        if A.cofinite and B.cofinite:
+            return ShiftSet(A.ints | B.ints, True, True)
+        if A.cofinite or B.cofinite:
+            co, fin = (A, B) if A.cofinite else (B, A)
+            return ShiftSet(fin.ints - co.ints, fin.has_inf)
+        return ShiftSet(A.ints & B.ints, A.has_inf and B.has_inf)
+
+    def subset(self, A, B) -> bool:
+        if A.cofinite:
+            return B.cofinite and B.ints <= A.ints
+        if B.cofinite:
+            return not (A.ints & B.ints)
+        return A.ints <= B.ints and (B.has_inf or not A.has_inf)
+
+    def points_to_set(self, pts):
+        ints = frozenset(p.coord for p in pts if p.coord is not INF)
+        return ShiftSet(ints, any(p.coord is INF for p in pts))
+
+    def largest_invariant_subset(self, S):
+        if S.cofinite and not S.ints:
+            return S
+        return ShiftSet(frozenset(), S.has_inf)  # only infinity survives
+
+    def cover_representatives(self, S) -> list[Point]:
+        if S.ints:
+            raise UnsupportedQueryError("shift set is not invariant")
+        if S.cofinite:
+            return [Point(0)]
+        return [Point(INF)] if S.has_inf else []
+
+    def all_orbits_in(self, S) -> list[Point]:
+        if S.cofinite:
+            return [Point(0), Point(INF)]
+        return [Point(INF)] if S.has_inf else []
+
+    def invariant_closed_sets(self):
+        return [self.empty_set(), ShiftSet(frozenset(), True), self.whole_space()]
+
+    def points(self) -> list[Point]:
+        raise UnsupportedQueryError("point enumeration needs finite components")
+
+    def is_free(self) -> bool:
+        return False
+
+    def is_minimal(self) -> bool:
+        return False
+
+    def some_periodic_point(self):
+        return Point(INF)
+
+    def restriction(self, S):
+        if S.cofinite and not S.ints:
+            return self, (lambda x: x), (lambda f: f)
+        if not S.cofinite and S.has_inf and not S.ints:
+            sub = FiniteSystem(1, (0,))
+
+            def pmap(x: Point) -> Point:
+                if x.coord is not INF:
+                    raise SystemMismatchError("point outside the subset")
+                return Point(0)
+
+            def fmap(f: Func) -> Func:
+                return Func(sub, (f.data[0],))
+
+            return sub, pmap, fmap
+        raise UnsupportedQueryError("shift subsystem must be everything or the fixed point")
+
+    # functions: (value at infinity, {n: value} finite exceptions)
+
+    def normal_form(self, data):
+        v_inf, exc = data
+        exc = {int(n): v for n, v in exc.items() if v != v_inf}
+        return (v_inf, exc), sc.check_same_mode([v_inf, *exc.values()])
+
+    def scalars(self, data):
+        return [data[0], *data[1].values()]
+
+    def const(self, value) -> Func:
+        return Func(self, (value, {}))
+
+    def _map(self, f: Func, fn, exact: bool) -> Func:
+        v, e = f.data
+        return _shift(self, fn(v), {n: fn(w) for n, w in e.items()}, exact)
+
+    def _combine(self, f: Func, g: Func, op) -> Func:
+        vf, ef = f.data
+        vg, eg = g.data
+        keys = set(ef) | set(eg)
+        return _shift(self, op(vf, vg),
+                      {n: op(ef.get(n, vf), eg.get(n, vg)) for n in keys}, f.exact)
+
+    def compose_sigma(self, f: Func, k: int) -> Func:
+        # moving the exceptions keeps them distinct from the value at infinity
+        v, e = f.data
+        return _func(self, (v, {n - k: w for n, w in e.items()}), f.exact)
+
+    def eval(self, f: Func, x: Point):
+        v, e = f.data
+        return v if x.coord is INF else e.get(x.coord, v)
+
+    def zero_set(self, f: Func, tol: float):
+        v, e = f.data
+        if sc.is_zero(v, tol):
+            excluded = frozenset(n for n, w in e.items() if not sc.is_zero(w, tol))
+            return ShiftSet(excluded, True, True)
+        return ShiftSet(frozenset(n for n, w in e.items() if sc.is_zero(w, tol)), False)
+
+    def vanishes_on(self, f: Func, S, tol: float) -> bool:
+        v, e = f.data
+        if S.cofinite:
+            if not sc.is_zero(v, tol):
+                return False
+            return all(sc.is_zero(w, tol) for n, w in e.items() if n not in S.ints)
+        ok_inf = not S.has_inf or sc.is_zero(v, tol)
+        return ok_inf and all(sc.is_zero(e.get(n, v), tol) for n in S.ints)
+
+    def point_indicator(self, x: Point, exact: bool) -> Func:
+        if x.coord is INF:
+            raise UnsupportedQueryError("the point at infinity is not isolated")
+        return _func(self, (sc.zero_like(exact), {x.coord: sc.one_like(exact)}), exact)
+
+    def separating_func(self, S, x: Point, exact: bool) -> Func:
+        if x.coord is not INF:
+            return self.point_indicator(x, exact)
+        if S.cofinite or S.has_inf:
+            raise UnsupportedQueryError("x lies in the closure of S")
+        return _func(self, (sc.one_like(exact), {n: sc.zero_like(exact) for n in S.ints}), exact)
+
+    def cx_basis(self, ints_window, max_freq: int, exact: bool) -> list[Func]:
+        base = [self.const(sc.one_like(exact))]
+        base.extend(self.point_indicator(Point(n), exact) for n in ints_window)
+        return base
+
+    def zero_on(self, S, f: Func) -> Func:
+        v, e = f.data
+        zero = sc.zero_like(f.exact)
+        if S.cofinite:
+            return _shift(self, zero, {n: e.get(n, v) for n in S.ints}, f.exact)
+        if S.has_inf:
+            if not S.ints and sc.is_zero(v):
+                return f  # the set is just infinity and f already vanishes there
+            raise UnsupportedQueryError(
+                "projection needs a clopen set; finite shift sets with infinity are not clopen"
+            )
+        merged = dict(e)
+        for n in S.ints:
+            merged[n] = zero
+        return _shift(self, v, merged, f.exact)
+
+    def point_where_nonzero(self, f: Func, tol: float):
+        v, e = f.data
+        for n, w in sorted(e.items()):
+            if not sc.is_zero(w, tol):
+                return Point(n)
+        return None if sc.is_zero(v, tol) else Point(INF)
+
+    def exceptional_ints(self, f: Func) -> set:
+        return set(f.data[1])
+
+
+@dataclass(frozen=True)
+class RotationSystem(_Leaf):
+    """Rotation of the circle by ``theta`` turns.
+
+    Freeness is a declaration, not a numeric guess: ``irrational=True``
+    marks the angle as irrational, and then the angle should be a Surd.
+    With ``irrational=False`` the angle is coerced to an exact Fraction,
+    making every point periodic with the denominator as period.
+    """
+
+    theta: object  # Surd | Fraction | float
+    irrational: bool = True
+
+    def __post_init__(self):
+        th = self.theta
+        if not self.irrational and not isinstance(th, Fraction):
+            object.__setattr__(self, "theta", Fraction(th))
+        v = self.theta_value()
+        if not 0 < v < 1:
+            raise ValueError("theta must lie strictly between 0 and 1 turns")
+
+    def theta_value(self) -> float:
+        if isinstance(self.theta, Surd):
+            return self.theta.value()
+        return float(self.theta)
+
+    def theta_times_mod1(self, m: int):
+        """m * theta mod 1; Fraction for rational angles, float otherwise."""
+        if isinstance(self.theta, Surd):
+            return self.theta.times_mod1(m)
+        if isinstance(self.theta, Fraction):
+            return (self.theta * m) % 1
+        return (self.theta * m) % 1.0
+
+    # points and dynamics
+
+    def check_coord(self, c) -> None:
+        if not isinstance(c, (Fraction, float, int)):
+            raise SystemMismatchError(f"{c!r} is not a rotation point")
+
+    def apply_sigma(self, x: Point, k: int) -> Point:
+        step = self.theta_times_mod1(k)
+        if isinstance(x.coord, Fraction) and isinstance(step, Fraction):
+            return Point((x.coord + step) % 1, x.path)
+        return Point((float(x.coord) + float(step)) % 1.0, x.path)
+
+    def period(self, x: Point):
+        return None if self.irrational else self.theta.denominator
+
+    # closed sets
+
+    def empty_set(self):
+        return CircleSet(False, ())
+
+    def whole_space(self):
+        return CircleSet(True)
+
+    def check_set(self, S) -> None:
+        if not isinstance(S, CircleSet):
+            raise SystemMismatchError("expected a circle set")
+
+    def contains(self, S, x: Point) -> bool:
+        return S.whole or any(turns_eq(x.coord, t) for t in S.turns)
+
+    def union(self, A, B):
+        if A.whole or B.whole:
+            return CircleSet(True)
+        return _circle_points(list(A.turns) + list(B.turns))
+
+    def intersect(self, A, B):
+        if A.whole:
+            return B
+        if B.whole:
+            return A
+        return _circle_points(t for t in A.turns if any(turns_eq(t, u) for u in B.turns))
+
+    def subset(self, A, B) -> bool:
+        if B.whole:
+            return True
+        if A.whole:
+            return False
+        return all(any(turns_eq(t, u) for u in B.turns) for t in A.turns)
+
+    def points_to_set(self, pts):
+        return _circle_points(p.coord for p in pts)
+
+    def largest_invariant_subset(self, S):
+        if S.whole:
+            return S
+        if self.irrational:
+            return CircleSet(False, ())
+        return _circle_points(
+            t for t in S.turns
+            if all(self.contains(S, y) for y in self.orbit_points(Point(t)))
+        )
+
+    def cover_representatives(self, S) -> list[Point]:
+        if S.whole:
+            if self.irrational:
+                return [Point(0.0)]
+            raise UnsupportedQueryError(
+                "the whole circle is not a finite union of orbit closures for a rational rotation"
+            )
+        if self.irrational and S.turns:
+            raise UnsupportedQueryError(
+                "finite circle sets are not invariant under an irrational rotation")
+        return self._rational_orbit_reps(S.turns)
+
+    def all_orbits_in(self, S) -> list[Point]:
+        if S.whole:
+            raise UnsupportedQueryError("a full circle carries infinitely many orbits")
+        if self.irrational:
+            raise UnsupportedQueryError(
+                "finite circle sets contain no full orbit under an irrational rotation")
+        return self._rational_orbit_reps(S.turns)
+
+    def _rational_orbit_reps(self, turns) -> list[Point]:
+        reps: list[Point] = []
+        for t in turns:
+            if not any(any(turns_eq(q.coord, t) for q in self.orbit_points(r)) for r in reps):
+                reps.append(Point(t))
+        return reps
+
+    def invariant_closed_sets(self):
+        if self.irrational:
+            return [self.empty_set(), self.whole_space()]
         return None
-    out = [UnionSet(())]
-    for s in subs:
-        out = [UnionSet(u.parts + (p,)) for u in out for p in s]
-    return out
+
+    def points(self) -> list[Point]:
+        raise UnsupportedQueryError("point enumeration needs finite components")
+
+    def is_free(self) -> bool:
+        return self.irrational
+
+    def is_minimal(self) -> bool:
+        return self.irrational
+
+    def some_periodic_point(self):
+        return None if self.irrational else Point(Fraction(0))
+
+    def restriction(self, S):
+        if S.whole:
+            return self, (lambda x: x), (lambda f: f)
+        raise UnsupportedQueryError("rotation subsystems are only the whole circle")
+
+    # functions: {frequency: coefficient} trigonometric polynomials, float only
+
+    def normal_form(self, data):
+        coeffs = {int(k): c for k, c in data.items() if not sc.is_zero(c)}
+        if any(sc.is_exact(c) for c in coeffs.values()):
+            raise ModeMismatchError("the rotation model runs in float mode")
+        return coeffs, False
+
+    def scalars(self, data):
+        return data.values()
+
+    def const(self, value) -> Func:
+        return Func(self, {0: value})
+
+    def add(self, f: Func, g: Func) -> Func:
+        keys = set(f.data) | set(g.data)
+        return _trig(self, {k: f.data.get(k, 0j) + g.data.get(k, 0j) for k in keys})
+
+    def mul(self, f: Func, g: Func) -> Func:
+        """Coefficient convolution."""
+        out: dict = {}
+        for j, a in f.data.items():
+            for k, b in g.data.items():
+                out[j + k] = out.get(j + k, 0j) + a * b
+        return _trig(self, out)
+
+    def scale(self, c, f: Func) -> Func:
+        return _trig(self, {k: c * w for k, w in f.data.items()})
+
+    def conj(self, f: Func) -> Func:
+        return _trig(self, {-k: sc.conj(c) for k, c in f.data.items()})
+
+    def compose_sigma(self, f: Func, k: int) -> Func:
+        return _trig(self, {j: c * rotation_phase(self, k * j) for j, c in f.data.items()})
+
+    def eval(self, f: Func, x: Point):
+        t = float(x.coord)
+        return sum(
+            (c * cmath.exp(2j * math.pi * ((t * k) % 1.0)) for k, c in f.data.items()),
+            0j,
+        )
+
+    def supnorm_bounds(self, f: Func) -> tuple[float, float]:
+        upper = self.algnorm(f)
+        G = grid_size(f)
+        lower = max(
+            abs(self.eval(f, Point(Fraction(j, G)))) for j in range(G)
+        ) if f.data else 0.0
+        return (lower, upper)
+
+    def algnorm(self, f: Func) -> float:
+        """The coefficient-sum (Wiener) norm."""
+        return float(sum(abs(c) for c in f.data.values()))
+
+    def zero_set(self, f: Func, tol: float):
+        if not f.data:
+            return CircleSet(True)
+        return CircleSet(False, tuple(unit_circle_roots(f.data, tol)))
+
+    def vanishes_on(self, f: Func, S, tol: float) -> bool:
+        if S.whole:
+            return all(sc.is_zero(c, tol) for c in f.data.values())
+        return all(sc.is_zero(self.eval(f, Point(t)), tol) for t in S.turns)
+
+    def point_indicator(self, x: Point, exact: bool) -> Func:
+        raise UnsupportedQueryError("circle points are not isolated")
+
+    def separating_func(self, S, x: Point, exact: bool) -> Func:
+        if S.whole:
+            raise UnsupportedQueryError("no nonzero function vanishes on the whole circle")
+        coeffs = {0: 1 + 0j}
+        for t in S.turns:
+            root = cmath.exp(2j * math.pi * float(t))
+            new: dict = {}
+            for k, c in coeffs.items():
+                new[k + 1] = new.get(k + 1, 0j) + c
+                new[k] = new.get(k, 0j) - c * root
+            coeffs = new
+        return _trig(self, coeffs)
+
+    def cx_basis(self, ints_window, max_freq: int, exact: bool) -> list[Func]:
+        return [_trig(self, {k: 1 + 0j}) for k in range(max_freq + 1)]
+
+    def demote(self, f: Func) -> Func:
+        return f
+
+    def inverse(self, f: Func):
+        if len(f.data) != 1:
+            return None
+        (k, c), = f.data.items()
+        return _trig(self, {-k: 1.0 / c})
+
+    def zero_on(self, S, f: Func) -> Func:
+        if S.whole:
+            return _trig(self, {})
+        if not S.turns:
+            return f
+        raise UnsupportedQueryError("rotation projection supports only the empty or full circle")
+
+    def point_where_nonzero(self, f: Func, tol: float):
+        if not f.data:
+            return None
+        G = grid_size(f)
+        best, best_val = None, tol
+        for j in range(G):
+            x = Point(Fraction(j, G))
+            v = abs(self.eval(f, x))
+            if v > best_val:
+                best, best_val = x, v
+        return best
+
+
+@dataclass(frozen=True)
+class UnionSystem:
+    """Disjoint union acting componentwise.
+
+    Every method is the product of the component methods: it maps over the
+    components, follows a point's path into its component, or concatenates
+    the component answers lifted with :func:`in_component`.
+    """
+
+    components: tuple
+
+    def __post_init__(self):
+        if not self.components:
+            raise ValueError("union of no systems")
+
+    def leaf(self, path: tuple[int, ...]):
+        if not path:
+            raise SystemMismatchError("point path stops at a union, not a leaf")
+        if not 0 <= path[0] < len(self.components):
+            raise SystemMismatchError("component index out of range")
+        return self.components[path[0]].leaf(path[1:])
+
+    def _split(self, x: Point):
+        """(index, component, the point within that component)."""
+        i = x.path[0]
+        return i, self.components[i], Point(x.coord, x.path[1:])
+
+    @staticmethod
+    def _lifted(answers) -> list[Point]:
+        return [in_component(i, x) for i, xs in enumerate(answers) for x in xs]
+
+    @staticmethod
+    def _first(answers):
+        for i, x in enumerate(answers):
+            if x is not None:
+                return in_component(i, x)
+        return None
+
+    # closed sets
+
+    def empty_set(self):
+        return UnionSet(tuple(c.empty_set() for c in self.components))
+
+    def whole_space(self):
+        return UnionSet(tuple(c.whole_space() for c in self.components))
+
+    def check_set(self, S) -> None:
+        if not isinstance(S, UnionSet) or len(S.parts) != len(self.components):
+            raise SystemMismatchError("union set arity mismatch")
+        for c, p in zip(self.components, S.parts):
+            c.check_set(p)
+
+    def contains(self, S, x: Point) -> bool:
+        i, c, y = self._split(x)
+        return c.contains(S.parts[i], y)
+
+    def union(self, A, B):
+        return UnionSet(tuple(
+            c.union(a, b) for c, a, b in zip(self.components, A.parts, B.parts)))
+
+    def intersect(self, A, B):
+        return UnionSet(tuple(
+            c.intersect(a, b) for c, a, b in zip(self.components, A.parts, B.parts)))
+
+    def subset(self, A, B) -> bool:
+        return all(c.subset(a, b) for c, a, b in zip(self.components, A.parts, B.parts))
+
+    def points_to_set(self, pts):
+        return UnionSet(tuple(
+            c.points_to_set([Point(p.coord, p.path[1:]) for p in pts if p.path[0] == i])
+            for i, c in enumerate(self.components)
+        ))
+
+    def orbit_closure(self, x: Point):
+        i, c, y = self._split(x)
+        parts = [d.empty_set() for d in self.components]
+        parts[i] = c.orbit_closure(y)
+        return UnionSet(tuple(parts))
+
+    def largest_invariant_subset(self, S):
+        return UnionSet(tuple(
+            c.largest_invariant_subset(p) for c, p in zip(self.components, S.parts)))
+
+    def cover_representatives(self, S) -> list[Point]:
+        return self._lifted(
+            c.cover_representatives(p) for c, p in zip(self.components, S.parts))
+
+    def all_orbits_in(self, S) -> list[Point]:
+        return self._lifted(c.all_orbits_in(p) for c, p in zip(self.components, S.parts))
+
+    def orbit_reps(self) -> list[Point]:
+        return self._lifted(c.orbit_reps() for c in self.components)
+
+    def invariant_closed_sets(self):
+        subs = [c.invariant_closed_sets() for c in self.components]
+        if any(s is None for s in subs):
+            return None
+        out = [UnionSet(())]
+        for s in subs:
+            out = [UnionSet(u.parts + (p,)) for u in out for p in s]
+        return out
+
+    def points(self) -> list[Point]:
+        return self._lifted(c.points() for c in self.components)
+
+    def is_free(self) -> bool:
+        return all(c.is_free() for c in self.components)
+
+    def is_minimal(self) -> bool:
+        return len(self.components) == 1 and self.components[0].is_minimal()
+
+    def some_periodic_point(self):
+        return self._first(c.some_periodic_point() for c in self.components)
+
+    def restriction(self, S):
+        """Restrict componentwise, dropping empty components."""
+        kept = [i for i, part in enumerate(S.parts) if not part.is_empty()]
+        if not kept:
+            raise UnsupportedQueryError("cannot restrict to the empty set")
+        built = {i: self.components[i].restriction(S.parts[i]) for i in kept}
+        sub = UnionSystem(tuple(built[i][0] for i in kept))
+        position = {old: new for new, old in enumerate(kept)}
+
+        def pmap(x: Point) -> Point:
+            if not x.path or x.path[0] not in position:
+                raise SystemMismatchError("point outside the subset")
+            old = x.path[0]
+            return in_component(position[old], built[old][1](Point(x.coord, x.path[1:])))
+
+        def fmap(f: Func) -> Func:
+            return Func(sub, tuple(built[i][2](f.data[i]) for i in kept))
+
+        return sub, pmap, fmap
+
+    # functions: a tuple of component functions
+
+    def normal_form(self, data):
+        parts = tuple(data)
+        if len(parts) != len(self.components):
+            raise SystemMismatchError("union function arity mismatch")
+        for c, p in zip(self.components, parts):
+            if p.system != c:
+                raise SystemMismatchError("component function on wrong system")
+        return parts, sc.check_same_mode(self.scalars(parts))
+
+    def scalars(self, data):
+        for p in data:
+            yield from p.system.scalars(p.data)
+
+    def const(self, value) -> Func:
+        return Func(self, tuple(c.const(value) for c in self.components))
+
+    def embed(self, index: int, part: Func, exact: bool) -> Func:
+        """The function equal to part on one component and zero elsewhere."""
+        parts = [c.const(sc.zero_like(exact)) for c in self.components]
+        parts[index] = part
+        return Func(self, tuple(parts))
+
+    def add(self, f: Func, g: Func) -> Func:
+        return _func(self, tuple(
+            c.add(a, b) for c, a, b in zip(self.components, f.data, g.data)), f.exact)
+
+    def mul(self, f: Func, g: Func) -> Func:
+        return _func(self, tuple(
+            c.mul(a, b) for c, a, b in zip(self.components, f.data, g.data)), f.exact)
+
+    def scale(self, s, f: Func) -> Func:
+        return _func(self, tuple(c.scale(s, p) for c, p in zip(self.components, f.data)),
+                     f.exact)
+
+    def conj(self, f: Func) -> Func:
+        return _func(self, tuple(c.conj(p) for c, p in zip(self.components, f.data)), f.exact)
+
+    def compose_sigma(self, f: Func, k: int) -> Func:
+        return _func(self, tuple(c.compose_sigma(p, k) for c, p in zip(self.components, f.data)),
+                     f.exact)
+
+    def eval(self, f: Func, x: Point):
+        i, c, y = self._split(x)
+        return c.eval(f.data[i], y)
+
+    def supnorm_bounds(self, f: Func) -> tuple[float, float]:
+        los, his = zip(*(c.supnorm_bounds(p) for c, p in zip(self.components, f.data)))
+        return (max(los), max(his))
+
+    def algnorm(self, f: Func) -> float:
+        return max(c.algnorm(p) for c, p in zip(self.components, f.data))
+
+    def zero_set(self, f: Func, tol: float):
+        return UnionSet(tuple(c.zero_set(p, tol) for c, p in zip(self.components, f.data)))
+
+    def vanishes_on(self, f: Func, S, tol: float) -> bool:
+        return all(c.vanishes_on(p, s, tol)
+                   for c, p, s in zip(self.components, f.data, S.parts))
+
+    def point_indicator(self, x: Point, exact: bool) -> Func:
+        i, c, y = self._split(x)
+        return self.embed(i, c.point_indicator(y, exact), exact)
+
+    def separating_func(self, S, x: Point, exact: bool) -> Func:
+        i, c, y = self._split(x)
+        return self.embed(i, c.separating_func(S.parts[i], y, exact), exact)
+
+    def cx_basis(self, ints_window, max_freq: int, exact: bool) -> list[Func]:
+        return [self.embed(i, b, exact) for i, c in enumerate(self.components)
+                for b in c.cx_basis(ints_window, max_freq, exact)]
+
+    def demote(self, f: Func) -> Func:
+        return _func(self, tuple(c.demote(p) for c, p in zip(self.components, f.data)), False)
+
+    def inverse(self, f: Func):
+        parts = tuple(c.inverse(p) for c, p in zip(self.components, f.data))
+        if any(p is None for p in parts):
+            return None
+        return _func(self, parts, f.exact)
+
+    def zero_on(self, S, f: Func) -> Func:
+        return _func(self, tuple(
+            c.zero_on(s, p) for c, s, p in zip(self.components, S.parts, f.data)), f.exact)
+
+    def point_where_nonzero(self, f: Func, tol: float):
+        return self._first(
+            c.point_where_nonzero(p, tol) for c, p in zip(self.components, f.data))
+
+    def exceptional_ints(self, f: Func) -> set:
+        return set().union(*(c.exceptional_ints(p) for c, p in zip(self.components, f.data)))
+
+
+# ---------------------------------------------------------------------------
+# Finite-system caches (module level: their cache_info() is read by tools)
+
+
+def _orbit_len(leaf: FiniteSystem, i: int) -> int:
+    j = leaf.sigma[i]
+    n = 1
+    while j != i:
+        j = leaf.sigma[j]
+        n += 1
+    return n
+
+
+@lru_cache(maxsize=4096)
+def sigma_power_map(leaf: FiniteSystem, k: int) -> tuple:
+    """The permutation sigma^k as an image tuple."""
+    if k == 0:
+        return tuple(range(leaf.size))
+    step = leaf.sigma if k > 0 else leaf.sigma_inverse()
+    out = list(range(leaf.size))
+    for _ in range(abs(k)):
+        out = [step[i] for i in out]
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _lcm_order(leaf: FiniteSystem) -> int:
+    order = 1
+    for i in range(leaf.size):
+        order = math.lcm(order, _orbit_len(leaf, i))
+    return order
+
+
+# ---------------------------------------------------------------------------
+# Checked entry points
+
+
+def validate_point(sys, x: Point):
+    """Check that x is a point of sys; returns the leaf system it lies in."""
+    leaf = sys.leaf(x.path)
+    leaf.check_coord(x.coord)
+    return leaf
+
+
+def apply_sigma(sys, x: Point, k: int) -> Point:
+    """k-th iterate of the homeomorphism applied to x."""
+    return validate_point(sys, x).apply_sigma(x, k)
+
+
+def period(sys, x: Point):
+    """Least p >= 1 with sigma^p(x) = x, or None for aperiodic points."""
+    return validate_point(sys, x).period(x)
+
+
+def is_periodic(sys, x: Point) -> bool:
+    return period(sys, x) is not None
+
+
+def orbit_points(sys, x: Point) -> list[Point]:
+    """The forward orbit of a periodic point, starting at x."""
+    leaf = validate_point(sys, x)
+    if leaf.period(x) is None:
+        raise UnsupportedQueryError("orbit_points needs a periodic point")
+    return leaf.orbit_points(x)
+
+
+def empty_set(sys):
+    return sys.empty_set()
+
+
+def whole_space(sys):
+    return sys.whole_space()
+
+
+def set_contains(sys, S, x: Point) -> bool:
+    sys.check_set(S)
+    validate_point(sys, x)
+    return sys.contains(S, x)
+
+
+def set_is_empty(S) -> bool:
+    return S.is_empty()
+
+
+def set_union(sys, A, B):
+    sys.check_set(A)
+    sys.check_set(B)
+    return sys.union(A, B)
+
+
+def set_intersect(sys, A, B):
+    sys.check_set(A)
+    sys.check_set(B)
+    return sys.intersect(A, B)
+
+
+def set_subset(sys, A, B) -> bool:
+    """A is contained in B."""
+    sys.check_set(A)
+    sys.check_set(B)
+    return sys.subset(A, B)
+
+
+def set_equal(sys, A, B) -> bool:
+    return set_subset(sys, A, B) and set_subset(sys, B, A)
+
+
+def orbit_set(sys, x: Point):
+    """The (finite, closed) orbit of a periodic point as a closed set."""
+    return sys.points_to_set(orbit_points(sys, x))
+
+
+def orbit_closure(sys, x: Point):
+    """Closure of the orbit of x."""
+    validate_point(sys, x)
+    return sys.orbit_closure(x)
+
+
+def largest_invariant_subset(sys, S):
+    """Points of S whose full orbit stays inside S; closed and invariant."""
+    sys.check_set(S)
+    return sys.largest_invariant_subset(S)
+
+
+def is_invariant_closed(sys, S) -> bool:
+    inv = largest_invariant_subset(sys, S)
+    return sys.subset(inv, S) and sys.subset(S, inv)
+
+
+def is_free(sys) -> bool:
+    """No periodic points in any component."""
+    return sys.is_free()
+
+
+def is_minimal(sys) -> bool:
+    """Every orbit dense."""
+    return sys.is_minimal()
+
+
+def some_periodic_point(sys) -> Point | None:
+    """A periodic point, or None on free systems."""
+    return sys.some_periodic_point()
+
+
+def cover_representatives(sys, S) -> list[Point]:
+    """Orbit representatives whose orbit closures union up to S.
+
+    Defined for invariant closed S.  The answer is minimal in the sense
+    that representatives with orbit closures already covered are dropped
+    (an aperiodic shift orbit covers the fixed point at infinity).
+    """
+    sys.check_set(S)
+    return sys.cover_representatives(S)
+
+
+def all_orbits_in(sys, S) -> list[Point]:
+    """One representative for every orbit contained in S.
+
+    Raises when the orbit family is infinite (rotation components whose
+    part of S is the whole circle).
+    """
+    sys.check_set(S)
+    return sys.all_orbits_in(S)
+
+
+def enumerate_invariant_closed_sets(sys) -> list | None:
+    """All invariant closed subsets, or None when there are infinitely many."""
+    return sys.invariant_closed_sets()
 
 
 def enumerate_points(sys) -> list[Point]:
     """All points, for systems built from finite components only."""
-    if isinstance(sys, FiniteSystem):
-        return [Point(i) for i in range(sys.size)]
-    if isinstance(sys, UnionSystem):
-        out = []
-        for i, c in enumerate(sys.components):
-            out.extend(in_component(i, x) for x in enumerate_points(c))
-        return out
-    raise UnsupportedQueryError("point enumeration needs finite components")
+    return sys.points()

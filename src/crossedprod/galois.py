@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynsys import (
-    FiniteSystem, Point, UnionSystem,
-    set_subset,
-)
+from .dynsys import Point, enumerate_points, set_subset
 from .errors import UnsupportedQueryError
 from .funcspace import f_zero_set, point_indicator
 from .hullkernel import hull
@@ -183,8 +180,10 @@ def check_order_reflection(pair: GaloisPair, a, a_samples) -> CheckReport:
 def classical_pair(system) -> GaloisPair:
     """The classical hull/kernel pair on the function model of a finite
     system: families of functions against subsets of the point set."""
-    if not _all_finite(system):
-        raise UnsupportedQueryError("the classical pair is shipped for finite systems")
+    try:
+        points = enumerate_points(system)
+    except UnsupportedQueryError:
+        raise UnsupportedQueryError("the classical pair is shipped for finite systems") from None
     from .dynsys import set_contains, set_intersect, whole_space
 
     def common_zeros(funcs):
@@ -195,7 +194,7 @@ def classical_pair(system) -> GaloisPair:
 
     def kernel_generators(S):
         gens = []
-        for x in _finite_points(system):
+        for x in points:
             if not set_contains(system, S, x):
                 gens.append(point_indicator(system, x))
         return tuple(gens)
@@ -207,19 +206,6 @@ def classical_pair(system) -> GaloisPair:
         leq_a=lambda F, G: set_subset(system, common_zeros(G), common_zeros(F)),
         leq_b=lambda S, T: set_subset(system, S, T),
     )
-
-
-def _all_finite(system) -> bool:
-    if isinstance(system, FiniteSystem):
-        return True
-    if isinstance(system, UnionSystem):
-        return all(_all_finite(c) for c in system.components)
-    return False
-
-
-def _finite_points(system):
-    from .dynsys import enumerate_points
-    return enumerate_points(system)
 
 
 def hull_kernel_pair(system) -> GaloisPair:

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import scalars as sc
 from .algebra import Element
 from .dynsys import (
-    FiniteSystem, ShiftSystem, UnionSystem,
     cover_representatives, empty_set, enumerate_invariant_closed_sets,
     is_invariant_closed, is_minimal, is_periodic, largest_invariant_subset,
     orbit_closure, orbit_set, set_intersect, set_union, whole_space,
 )
 from .errors import UnsupportedQueryError
-from .funcspace import DEFAULT_TOL, Func, f_zero_set
+from .funcspace import DEFAULT_TOL, f_zero_set
 from .reps_ideals import (
     GeneratedIdeal, IdealHandle, IntersectionIdeal, KernelIdeal, PxIdeal,
     PxLambdaIdeal, QxIdeal, canonical_px, canonical_qx, ideal_member,
@@ -81,39 +79,7 @@ def kernel_project(system, S, a: Element) -> Element:
     a shift set containing infinity together with finitely many integers
     has no such indicator and is rejected.
     """
-    return Element(system, {n: _project_func(system, S, f) for n, f in a.coeffs.items()})
-
-
-def _project_func(system, S, f: Func) -> Func:
-    if isinstance(system, UnionSystem):
-        return Func(system, tuple(
-            _project_func(c, p, g) for c, p, g in zip(system.components, S.parts, f.data)
-        ))
-    exact = f.exact
-    zero = sc.zero_like(exact)
-    if isinstance(system, FiniteSystem):
-        return Func(system, tuple(
-            zero if i in S.points else v for i, v in enumerate(f.data)
-        ))
-    if isinstance(system, ShiftSystem):
-        v, e = f.data
-        if S.cofinite:
-            return Func(system, (zero, {n: e.get(n, v) for n in S.ints}))
-        if S.has_inf:
-            if not S.ints and sc.is_zero(v):
-                return f  # the set is just infinity and f already vanishes there
-            raise UnsupportedQueryError(
-                "projection needs a clopen set; finite shift sets with infinity are not clopen"
-            )
-        merged = dict(e)
-        for n in S.ints:
-            merged[n] = zero
-        return Func(system, (v, merged))
-    if S.whole:
-        return Func(system, {})
-    if not S.turns:
-        return f
-    raise UnsupportedQueryError("rotation projection supports only the empty or full circle")
+    return Element(system, {n: system.zero_on(S, f) for n, f in a.coeffs.items()})
 
 
 def hull_kernel_compose(system, S, tol: float = DEFAULT_TOL):

@@ -39,12 +39,12 @@ from fractions import Fraction
 
 from . import scalars as sc
 from .algebra import Element, alg_add, alg_mul, alg_adj, alg_scale, alg_sub, \
-    delta_power, element, expectation, from_func, unit
+    delta_power, expectation, from_func, unit
 from .dynsys import (
     INF, CircleSet, FiniteSet, FiniteSystem, Point, RotationSystem, ShiftSet,
     ShiftSystem, Surd, UnionSet, UnionSystem, validate_point,
 )
-from .errors import ParseError, UnsupportedQueryError
+from .errors import ModeMismatchError, ParseError, UnsupportedQueryError
 from .funcspace import Func, f_compose_sigma, zero_func
 from .reps_ideals import (
     GeneratedIdeal, IntersectionIdeal, KernelIdeal, PxIdeal, PxLambdaIdeal,
@@ -198,19 +198,14 @@ def parse_config(text: str) -> SystemConfig:
     if system is None:
         t = s.peek()
         raise ParseError("config declares no system", t.line, t.col)
-    if mode == "exact" and _has_rotation(system):
-        t = s.peek()
-        raise ParseError("exact mode is not available with rotation components",
-                         t.line, t.col)
+    if mode == "exact":
+        try:  # each model's normal form says whether it takes exact scalars
+            system.const(sc.one_like(True))
+        except ModeMismatchError:
+            t = s.peek()
+            raise ParseError("exact mode is not available with rotation components",
+                             t.line, t.col) from None
     return SystemConfig(system, mode, tol)
-
-
-def _has_rotation(system) -> bool:
-    if isinstance(system, RotationSystem):
-        return True
-    if isinstance(system, UnionSystem):
-        return any(_has_rotation(c) for c in system.components)
-    return False
 
 
 def _parse_number(s: _Stream):
@@ -367,23 +362,18 @@ def parse_point(text: str, system) -> Point:
 
 def _parse_point(s: _Stream, system) -> Point:
     path = []
-    sys_cursor = system
     while s.peek().kind == "name" and s.peek().text.startswith("c") \
             and s.peek().text[1:].isdigit():
-        idx = int(s.next().text[1:])
+        path.append(int(s.next().text[1:]))
         s.expect(":")
-        if not isinstance(sys_cursor, UnionSystem):
-            t = s.peek()
-            raise ParseError("component prefix on a non-union system", t.line, t.col)
-        path.append(idx)
-        sys_cursor = sys_cursor.components[idx]
+    leaf = system.leaf(tuple(path))
     t = s.peek()
     if t.kind == "name" and t.text == "inf":
         s.next()
         coord: object = INF
     else:
         v = _parse_number(s)
-        if isinstance(sys_cursor, RotationSystem):
+        if isinstance(leaf, RotationSystem):
             coord = v % 1 if not isinstance(v, float) else v % 1.0
         else:
             if isinstance(v, (float, Fraction)) and not float(v).is_integer():
@@ -460,35 +450,11 @@ def _try_invert(a: Element) -> Element | None:
     if len(a.coeffs) != 1:
         return None
     (k, f), = a.coeffs.items()
-    inv = _func_pointwise_inverse(f)
+    inv = f.system.inverse(f)
     if inv is None:
         return None
     # (f d^k)^-1 = d^-k f^-1 = (f^-1 o sigma^k) d^-k
     return Element(a.system, {-k: f_compose_sigma(inv, k)})
-
-
-def _func_pointwise_inverse(f: Func) -> Func | None:
-    system = f.system
-    if isinstance(system, FiniteSystem):
-        if any(sc.is_zero(v) for v in f.data):
-            return None
-        one = sc.one_like(f.exact)
-        return Func(system, tuple(one / v for v in f.data))
-    if isinstance(system, ShiftSystem):
-        v, e = f.data
-        if sc.is_zero(v) or any(sc.is_zero(w) for w in e.values()):
-            return None
-        one = sc.one_like(f.exact)
-        return Func(system, (one / v, {n: one / w for n, w in e.items()}))
-    if isinstance(system, RotationSystem):
-        if len(f.data) != 1:
-            return None
-        (k, c), = f.data.items()
-        return Func(system, {-k: 1.0 / c})
-    parts = [_func_pointwise_inverse(p) for p in f.data]
-    if any(p is None for p in parts):
-        return None
-    return Func(system, tuple(parts))
 
 
 def _parse_atom(s: _Stream, system, exact) -> Element:

@@ -10,20 +10,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import scalars as sc
 from .algebra import Element, demote_to_float, element, from_func
 from .dynsys import (
-    INF, FiniteSystem, Point, RotationSystem, ShiftSystem, UnionSystem,
-    apply_sigma, is_periodic, orbit_closure, orbit_points,
+    Point, apply_sigma, is_periodic, orbit_closure, orbit_points,
     orbit_set, period, set_contains, set_equal, set_is_empty, set_subset,
     is_invariant_closed, validate_point,
 )
 from .errors import SystemMismatchError, UnsupportedQueryError
 from .funcspace import (
-    DEFAULT_TOL, Func, f_eval, f_scale, one_func, separating_func,
-    vanishes_on, grid_size,
+    DEFAULT_TOL, Func, f_eval, f_scale, one_func, separating_func, vanishes_on,
 )
 
 
@@ -292,7 +289,7 @@ def escape_element(f: Func, lam, p: int) -> Element:
         neg = sc.qc(-1) * lam.conjugate()
     else:
         if f.exact:
-            f = demote_to_float(element(f.system, {0: f})).coeffs[0]
+            f = f.system.demote(f)
         neg = -complex(lam).conjugate()
     return element(f.system, {0: f, p: f_scale(neg, f)})
 
@@ -388,7 +385,7 @@ def separating_check(system, a: Element, tol: float = DEFAULT_TOL):
     """
     found = None
     for n, f in sorted(a.coeffs.items()):
-        x = _point_where_nonzero(f, tol)
+        x = a.system.point_where_nonzero(f, tol)
         if x is not None:
             found = (n, x, f_eval(f, x))
             break
@@ -404,39 +401,6 @@ def separating_check(system, a: Element, tol: float = DEFAULT_TOL):
                 return SeparationWitness(x, n, val, "periodic", lam)
         raise AssertionError("no separating torus parameter found")
     return SeparationWitness(x, n, val, "aperiodic")
-
-
-def _point_where_nonzero(f: Func, tol: float):
-    system = f.system
-    if isinstance(system, UnionSystem):
-        for i, p in enumerate(f.data):
-            x = _point_where_nonzero(p, tol)
-            if x is not None:
-                return Point(x.coord, (i,) + x.path)
-        return None
-    if isinstance(system, FiniteSystem):
-        for i, v in enumerate(f.data):
-            if not sc.is_zero(v, tol):
-                return Point(i)
-        return None
-    if isinstance(system, ShiftSystem):
-        v, e = f.data
-        for nn, w in sorted(e.items()):
-            if not sc.is_zero(w, tol):
-                return Point(nn)
-        if not sc.is_zero(v, tol):
-            return Point(INF)
-        return None
-    if not f.data:
-        return None
-    G = grid_size(f)
-    best, best_val = None, tol
-    for j in range(G):
-        x = Point(Fraction(j, G))
-        v = abs(f_eval(f, x))
-        if v > best_val:
-            best, best_val = x, v
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -470,69 +434,6 @@ def restrict_system(system, S) -> Restriction:
         raise UnsupportedQueryError("restriction needs an invariant closed set")
     if set_is_empty(S):
         raise UnsupportedQueryError("cannot restrict to the empty set")
-    sub, pmap, fmap = _build_restriction(system, S)
+    sub, pmap, fmap = system.restriction(S)
     return Restriction(system, S, sub, pmap, fmap)
 
-
-def _build_restriction(system, S):
-    if isinstance(system, FiniteSystem):
-        keep = sorted(S.points)
-        index = {old: new for new, old in enumerate(keep)}
-        sigma = tuple(index[system.sigma[old]] for old in keep)
-        sub = FiniteSystem(len(keep), sigma)
-
-        def pmap(x: Point) -> Point:
-            if x.coord not in index:
-                raise SystemMismatchError("point outside the subset")
-            return Point(index[x.coord])
-
-        def fmap(f: Func) -> Func:
-            return Func(sub, tuple(f.data[old] for old in keep))
-
-        return sub, pmap, fmap
-    if isinstance(system, ShiftSystem):
-        if S.cofinite and not S.ints:
-            return system, lambda x: x, lambda f: f
-        if not S.cofinite and S.has_inf and not S.ints:
-            sub = FiniteSystem(1, (0,))
-
-            def pmap(x: Point) -> Point:
-                if x.coord is not INF:
-                    raise SystemMismatchError("point outside the subset")
-                return Point(0)
-
-            def fmap(f: Func) -> Func:
-                return Func(sub, (f.data[0],))
-
-            return sub, pmap, fmap
-        raise UnsupportedQueryError("shift subsystem must be everything or the fixed point")
-    if isinstance(system, RotationSystem):
-        if S.whole:
-            return system, lambda x: x, lambda f: f
-        raise UnsupportedQueryError("rotation subsystems are only the whole circle")
-    # union: restrict componentwise, dropping empty components
-    built = []
-    kept_indices = []
-    for i, (c, part) in enumerate(zip(system.components, S.parts)):
-        if set_is_empty(part):
-            continue
-        kept_indices.append(i)
-        built.append(_build_restriction(c, part))
-    if not built:
-        raise UnsupportedQueryError("cannot restrict to the empty set")
-    sub = UnionSystem(tuple(b[0] for b in built))
-    position = {old: new for new, old in enumerate(kept_indices)}
-
-    def pmap(x: Point) -> Point:
-        if not x.path or x.path[0] not in position:
-            raise SystemMismatchError("point outside the subset")
-        old = x.path[0]
-        inner = built[position[old]][1](Point(x.coord, x.path[1:]))
-        return Point(inner.coord, (position[old],) + inner.path)
-
-    def fmap(f: Func) -> Func:
-        return Func(sub, tuple(
-            built[position[i]][2](f.data[i]) for i in kept_indices
-        ))
-
-    return sub, pmap, fmap

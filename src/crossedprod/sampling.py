@@ -13,8 +13,7 @@ from . import scalars as sc
 from .algebra import Element, alg_add, alg_mul
 from .dynsys import (
     FiniteSystem, Point, RotationSystem, ShiftSystem, UnionSystem,
-    cover_representatives, is_periodic, orbit_closure, orbit_set, period,
-    whole_space,
+    is_periodic, orbit_closure, orbit_set, period,
 )
 from .errors import UnsupportedQueryError
 from .funcspace import Func, zero_func
@@ -154,7 +153,7 @@ def canonical_handles(system, lam_values=(1 + 0j, -1 + 0j, 1j)) -> list[IdealHan
     """All canonical handles over orbit representatives, with the given
     torus parameters for the periodic families."""
     out: list[IdealHandle] = []
-    for x in _lenient_orbit_reps(system):
+    for x in system.orbit_reps():
         if is_periodic(system, x):
             out.append(canonical_qx(system, x))
             out.extend(canonical_px_lambda(system, x, lam) for lam in lam_values)
@@ -162,16 +161,3 @@ def canonical_handles(system, lam_values=(1 + 0j, -1 + 0j, 1j)) -> list[IdealHan
             out.append(canonical_px(system, x))
     return out
 
-
-def _lenient_orbit_reps(system) -> list[Point]:
-    """Every orbit when enumerable, a dense covering orbit otherwise."""
-    from .dynsys import all_orbits_in, in_component
-    if isinstance(system, UnionSystem):
-        out = []
-        for i, c in enumerate(system.components):
-            out.extend(in_component(i, x) for x in _lenient_orbit_reps(c))
-        return out
-    try:
-        return all_orbits_in(system, whole_space(system))
-    except UnsupportedQueryError:
-        return cover_representatives(system, whole_space(system))

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from . import scalars as sc
 from .algebra import Element, alg_adj, alg_mul, demote_to_float, from_func
 from .dynsys import (
-    INF, FiniteSystem, Point, RotationSystem, ShiftSystem, UnionSystem,
-    cover_representatives, is_periodic, orbit_closure,
+    Point, cover_representatives, is_periodic, orbit_closure,
     orbit_points, orbit_set, period, set_contains, set_is_empty, set_subset,
     whole_space,
 )
@@ -161,8 +160,11 @@ def pth_roots(lam, p: int) -> list[complex]:
 # Float polynomial gcd
 
 
-def _poly_trim(p: list[complex], tol: float) -> list[complex]:
-    scale = max((abs(c) for c in p), default=0.0)
+def _poly_trim(p: list[complex], tol: float, scale: float | None = None) -> list[complex]:
+    """p with coefficients at most tol * scale zeroed and trailing zeros
+    dropped; scale defaults to p's own largest coefficient."""
+    if scale is None:
+        scale = max((abs(c) for c in p), default=0.0)
     if scale == 0.0:
         return []
     q = [c if abs(c) > tol * scale else 0j for c in p]
@@ -172,18 +174,19 @@ def _poly_trim(p: list[complex], tol: float) -> list[complex]:
 
 
 def _poly_mod(a: list[complex], b: list[complex], tol: float) -> list[complex]:
-    a = list(a)
+    # Trim against the operands' scale: a remainder at rounding level
+    # relative to a and b is zero, however large it is relative to itself.
+    scale = max(abs(c) for c in (*a, *b))
+    a = _poly_trim(a, tol, scale)
     db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _poly_trim(a, tol):
-        a = _poly_trim(a, tol)
-        if len(a) - 1 < db:
-            break
+    while len(a) - 1 >= db:
         q = a[-1] / lead
         shift = len(a) - 1 - db
         for i, c in enumerate(b):
             a[shift + i] -= q * c
         a.pop()
-    return _poly_trim(a, tol)
+        a = _poly_trim(a, tol, scale)
+    return a
 
 
 def poly_gcd(polys, tol: float = DEFAULT_TOL):
@@ -237,46 +240,23 @@ def zeros_of_ideal(I: IdealHandle, tol: float = DEFAULT_TOL) -> TorusSubset:
             entries.extend(zeros_of_ideal(p, tol).entries)
         return TorusSubset(system, tuple(entries))
     if isinstance(I, GeneratedIdeal):
-        return TorusSubset(system, tuple(_generated_zero_entries(system, I, (), tol)))
+        return TorusSubset(system, tuple(_generated_zero_entries(I, tol)))
     raise UnsupportedQueryError("zero sets are not defined for this handle")
 
 
-def _generated_zero_entries(system, I: GeneratedIdeal, path, tol):
-    if isinstance(system, UnionSystem):
-        out = []
-        for i, comp in enumerate(system.components):
-            out.extend(_generated_zero_entries(comp, I, path + (i,), tol))
-        return out
-    if isinstance(system, RotationSystem):
-        if not system.irrational:
-            raise UnsupportedQueryError(
-                "zero sets of generated ideals are unsupported on rational rotations"
-            )
-        x0 = Point(0.0, path)
-        closure = orbit_closure(I.system, x0)
-        ok = all(
-            vanishes_on(f, closure, tol)
-            for g in I.gens for f in g.coeffs.values()
-        )
-        return [TorusEntry(x0, FullCircle(), use_closure=True)] if ok else []
+def _generated_zero_entries(I: GeneratedIdeal, tol):
+    """One entry per orbit that every generator's transform vanishes on:
+    the lambda set of a periodic orbit, the full circle over the closure
+    of an aperiodic one."""
     out = []
-    if isinstance(system, FiniteSystem):
-        local_reps = cover_representatives(system, whole_space(system))
-    else:
-        local_reps = [Point(0), Point(INF)]
-    for rep in local_reps:
-        x = Point(rep.coord, path + rep.path)
+    for x in I.system.orbit_reps():
         if is_periodic(I.system, x):
             ls = _periodic_lambda_set(I, x, tol)
             if ls is not None:
                 out.append(TorusEntry(x, ls))
         else:
             closure = orbit_closure(I.system, x)
-            ok = all(
-                vanishes_on(f, closure, tol)
-                for g in I.gens for f in g.coeffs.values()
-            )
-            if ok:
+            if all(vanishes_on(f, closure, tol) for g in I.gens for f in g.coeffs.values()):
                 out.append(TorusEntry(x, FullCircle(), use_closure=True))
     return out
 
@@ -411,7 +391,7 @@ def ideal_member_via_S(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> 
 def _shift_window(T: TorusSubset, a: Element) -> tuple:
     ints: set[int] = set()
     for f in a.coeffs.values():
-        ints.update(_exceptional_ints(f))
+        ints.update(f.system.exceptional_ints(f))
     for e in T.entries:
         if isinstance(e.point.coord, int):
             ints.add(e.point.coord)
@@ -420,18 +400,6 @@ def _shift_window(T: TorusSubset, a: Element) -> tuple:
         ints = {0}
     lo, hi = min(ints) - N, max(ints) + N
     return tuple(range(lo, hi + 1)) + (hi + N + 1,)
-
-
-def _exceptional_ints(f: Func):
-    system = f.system
-    if isinstance(system, ShiftSystem):
-        return set(f.data[1])
-    if isinstance(system, UnionSystem):
-        out: set[int] = set()
-        for p in f.data:
-            out |= _exceptional_ints(p)
-        return out
-    return set()
 
 
 def zi_closure(I: IdealHandle, tol: float = DEFAULT_TOL) -> IntersectionIdeal:

@@ -177,6 +177,8 @@ def test_mode_mixing_rejected(cycle3):
     with pytest.raises(ModeMismatchError):
         trig_poly(__import__("crossedprod.dynsys", fromlist=["RotationSystem"])
                   .RotationSystem(Fraction(1, 3), irrational=False), {0: sc.qc(1)})
+    with pytest.raises(ModeMismatchError):
+        element(cycle3, {0: g, 1: f})
 
 
 def test_boundary_validation(cycle3, shift, shift_union_cycle3):

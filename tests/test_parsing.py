@@ -7,7 +7,7 @@ from crossedprod.algebra import alg_mul, elem_close
 from crossedprod.dynsys import (
     INF, ShiftSystem, Surd, UnionSystem, pt,
 )
-from crossedprod.errors import ParseError
+from crossedprod.errors import ParseError, SystemMismatchError
 from crossedprod.funcspace import f_compose_sigma
 from crossedprod.parsing import (
     parse_config, parse_elem, parse_ideal, parse_point, parse_scalar_text,
@@ -132,6 +132,10 @@ def test_point_literals(shift_union_cycle3, golden_rotation):
     assert x.coord == Fraction(1, 4)
     assert render_point(x) == "1/4"
     assert parse_point("inf", ShiftSystem()) == pt(INF)
+    # a path that names no leaf is rejected, not an IndexError
+    for text, system in (("c2:0", U), ("c0:c0:0", U), ("0", U), ("c0:1", golden_rotation)):
+        with pytest.raises(SystemMismatchError):
+            parse_point(text, system)
 
 
 def test_set_literals(cycle3, shift, golden_rotation, shift_union_cycle3):

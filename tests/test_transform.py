@@ -11,6 +11,7 @@ from crossedprod.dynsys import (
 )
 from crossedprod.errors import UnsupportedQueryError
 from crossedprod.funcspace import cx_basis, f_eval, finite_func, one_func
+from crossedprod.parsing import parse_ideal
 from crossedprod.reps_ideals import (
     canonical_px, canonical_px_lambda, canonical_qx, escape_element,
     generated_ideal, ideal_member,
@@ -126,6 +127,25 @@ def test_zeros_on_union_components(shift_union_cycle3):
     assert pts == {"c0:inf", "c1:0"}
     for e in Z.entries:
         roots = lamset_roots(e.lamset)
+        assert len(roots) == 3
+        for mu in roots:
+            assert abs(mu ** 3 - 1) < 1e-8
+
+
+def test_zeros_keep_orbits_whose_conditions_differ_by_a_complex_scale(cycle3):
+    # the per-orbit conditions are equal up to non-real constants; a gcd
+    # remainder at rounding level must count as zero, or the orbit is lost
+    q = [0.3 + 0.56j, 0, 0, -(0.3 + 0.56j)]
+    assert len(poly_gcd([q, q, q])) == 4
+    assert len(poly_gcd([[1, 0, 0, -1], [0.3 + 0.2j, 0, 0, -(0.3 + 0.2j)]])) == 4
+    cases = [("gen(f{0:1,1:3/10+1/5i,2:7/10}*(1 - d^3))", True),
+             ("gen((0.3+0.56i)*(1 - d^3))", False)]
+    for text, exact in cases:
+        I = parse_ideal(text, cycle3, exact)
+        assert ideal_member(canonical_px_lambda(cycle3, pt(0), 1 + 0j), I.gens[0])
+        Z = zeros_of_ideal(I)
+        assert [repr(e.point) for e in Z.entries] == ["0"]
+        roots = lamset_roots(Z.entries[0].lamset)
         assert len(roots) == 3
         for mu in roots:
             assert abs(mu ** 3 - 1) < 1e-8
