@@ -30,8 +30,8 @@ from .funcspace import (
 )
 from .hullkernel import (
     HullResult, decompose_as_intersection, hull, hull_kernel_compose,
-    kernel_hull_compose, kernel_member, kernel_of_invariant_set,
-    kernel_project, minimality_dichotomy,
+    kernel_hull_compose, kernel_member, kernel_project,
+    minimality_dichotomy,
 )
 from .reps_ideals import (
     GeneratedIdeal, IntersectionIdeal, KernelIdeal, PxIdeal, PxLambdaIdeal,

@@ -13,9 +13,6 @@ from .algebra import (
     alg_add, alg_adj, alg_mul, alg_norm, delta_power, dual_action,
     dual_average, elem_close, expectation, from_func, unit,
 )
-from .dynsys import (
-    enumerate_invariant_closed_sets,
-)
 from .errors import UnsupportedQueryError
 from .funcspace import (
     f_add, f_compose_sigma, f_conj, f_is_zero, f_mul, f_sub,
@@ -27,7 +24,7 @@ from .galois import (
     hull_kernel_pair, zeros_synth_pair,
 )
 from .reps_ideals import (
-    PxLambdaIdeal, ideal_member, rep_is_zero, rep_periodic,
+    PxLambdaIdeal, ideal_inclusion, ideal_member, rep_is_zero, rep_periodic,
 )
 from .sampling import (
     canonical_handles, random_element, random_func, random_member,
@@ -138,7 +135,6 @@ def suite_dual_average(system, exact: bool, seed: int, tol: float,
 
 def suite_inclusion_table(system, exact: bool, seed: int, tol: float,
                           samples: int = 25) -> CheckReport:
-    from .reps_ideals import ideal_inclusion
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -173,7 +169,7 @@ def _galois_samples(system, kind: str, seed: int, count: int):
         subs = [f_zero_set(random_func(system, rng)) for _ in range(max(2, count // 2))]
         return classical_pair(system), fams, subs
     handles = canonical_handles(system)
-    sets_inv = enumerate_invariant_closed_sets(system)
+    sets_inv = system.invariant_closed_sets()
     if kind == "HK":
         if sets_inv is None:
             raise UnsupportedQueryError("invariant sets are not enumerable here")

@@ -25,8 +25,7 @@ from .checks import SUITES, suite_galois
 from .dynsys import is_free, is_minimal, is_periodic
 from .errors import CrossedProdError, ParseError, UnsupportedQueryError
 from .hullkernel import (
-    decompose_as_intersection, hull, kernel_of_invariant_set,
-    minimality_dichotomy,
+    decompose_as_intersection, hull, minimality_dichotomy,
 )
 from .parsing import (
     SystemConfig, fmt_real, parse_config, parse_elem, parse_ideal,
@@ -35,7 +34,8 @@ from .parsing import (
     render_torus,
 )
 from .reps_ideals import (
-    ideal_behaviour, ideal_member, rep_aperiodic_window, rep_periodic,
+    ideal_behaviour, ideal_member, kernel_ideal, rep_aperiodic_window,
+    rep_periodic,
 )
 from .synthesis import dichotomy_report, drive_to_E
 from .transform import (
@@ -244,7 +244,7 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         out.add(render_set(h.subset), tuple(h.provenance))
     elif args.command == "kernel":
         S = parse_set(args.set, system)
-        out.add(render_ideal(kernel_of_invariant_set(system, S)))
+        out.add(render_ideal(kernel_ideal(system, S)))
     elif args.command == "decompose":
         S = parse_set(args.set, system)
         parts = decompose_as_intersection(system, S)

@@ -1071,10 +1071,13 @@ class UnionSystem:
             c.largest_invariant_subset(p) for c, p in zip(self.components, S.parts)))
 
     def cover_representatives(self, S) -> list[Point]:
+        """Orbit representatives whose orbit closures union up to the invariant
+        closed S, dropping those already covered (a shift integer covers inf)."""
         return self._lifted(
             c.cover_representatives(p) for c, p in zip(self.components, S.parts))
 
     def all_orbits_in(self, S) -> list[Point]:
+        """One representative per orbit in S; raises when there are infinitely many."""
         return self._lifted(c.all_orbits_in(p) for c, p in zip(self.components, S.parts))
 
     def orbit_reps(self) -> list[Point]:
@@ -1289,42 +1292,10 @@ def whole_space(sys):
     return sys.whole_space()
 
 
-def set_contains(sys, S, x: Point) -> bool:
-    sys.check_set(S)
-    validate_point(sys, x)
-    return sys.contains(S, x)
-
-
-def set_is_empty(S) -> bool:
-    return S.is_empty()
-
-
-def set_union(sys, A, B):
-    sys.check_set(A)
-    sys.check_set(B)
-    return sys.union(A, B)
-
-
-def set_intersect(sys, A, B):
-    sys.check_set(A)
-    sys.check_set(B)
-    return sys.intersect(A, B)
-
-
-def set_subset(sys, A, B) -> bool:
-    """A is contained in B."""
-    sys.check_set(A)
-    sys.check_set(B)
-    return sys.subset(A, B)
-
-
 def set_equal(sys, A, B) -> bool:
-    return set_subset(sys, A, B) and set_subset(sys, B, A)
-
-
-def orbit_set(sys, x: Point):
-    """The (finite, closed) orbit of a periodic point as a closed set."""
-    return sys.points_to_set(orbit_points(sys, x))
+    sys.check_set(A)
+    sys.check_set(B)
+    return sys.subset(A, B) and sys.subset(B, A)
 
 
 def orbit_closure(sys, x: Point):
@@ -1333,14 +1304,9 @@ def orbit_closure(sys, x: Point):
     return sys.orbit_closure(x)
 
 
-def largest_invariant_subset(sys, S):
-    """Points of S whose full orbit stays inside S; closed and invariant."""
-    sys.check_set(S)
-    return sys.largest_invariant_subset(S)
-
-
 def is_invariant_closed(sys, S) -> bool:
-    inv = largest_invariant_subset(sys, S)
+    sys.check_set(S)
+    inv = sys.largest_invariant_subset(S)
     return sys.subset(inv, S) and sys.subset(S, inv)
 
 
@@ -1352,39 +1318,3 @@ def is_free(sys) -> bool:
 def is_minimal(sys) -> bool:
     """Every orbit dense."""
     return sys.is_minimal()
-
-
-def some_periodic_point(sys) -> Point | None:
-    """A periodic point, or None on free systems."""
-    return sys.some_periodic_point()
-
-
-def cover_representatives(sys, S) -> list[Point]:
-    """Orbit representatives whose orbit closures union up to S.
-
-    Defined for invariant closed S.  The answer is minimal in the sense
-    that representatives with orbit closures already covered are dropped
-    (an aperiodic shift orbit covers the fixed point at infinity).
-    """
-    sys.check_set(S)
-    return sys.cover_representatives(S)
-
-
-def all_orbits_in(sys, S) -> list[Point]:
-    """One representative for every orbit contained in S.
-
-    Raises when the orbit family is infinite (rotation components whose
-    part of S is the whole circle).
-    """
-    sys.check_set(S)
-    return sys.all_orbits_in(S)
-
-
-def enumerate_invariant_closed_sets(sys) -> list | None:
-    """All invariant closed subsets, or None when there are infinitely many."""
-    return sys.invariant_closed_sets()
-
-
-def enumerate_points(sys) -> list[Point]:
-    """All points, for systems built from finite components only."""
-    return sys.points()

@@ -135,11 +135,13 @@ def f_zero_set(f: Func, tol: float = DEFAULT_TOL):
 
 def vanishes_on(f: Func, S, tol: float = DEFAULT_TOL) -> bool:
     """Whether f restricted to the closed set S is zero."""
+    f.system.check_set(S)
     return f.system.vanishes_on(f, S, tol)
 
 
 def separating_func(system, S, x: Point, exact: bool = False) -> Func:
     """A function vanishing on S and nonzero at x (x outside S)."""
+    system.check_set(S)
     validate_point(system, x)
     return system.separating_func(S, x, exact)
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynsys import Point, enumerate_points, set_subset
+from .dynsys import orbit_closure
 from .errors import UnsupportedQueryError
 from .funcspace import f_zero_set, point_indicator
 from .hullkernel import hull
 from .reps_ideals import kernel_ideal
 from .transform import (
     FullCircle, TorusSubset, ideal_leq, ideal_of_torus_set, lamset_roots,
-    zeros_of_ideal, entry_xpart, lamset_contains,
+    zeros_of_ideal, lamset_contains,
 )
 
 
@@ -181,21 +181,20 @@ def classical_pair(system) -> GaloisPair:
     """The classical hull/kernel pair on the function model of a finite
     system: families of functions against subsets of the point set."""
     try:
-        points = enumerate_points(system)
+        points = system.points()
     except UnsupportedQueryError:
         raise UnsupportedQueryError("the classical pair is shipped for finite systems") from None
-    from .dynsys import set_contains, set_intersect, whole_space
 
     def common_zeros(funcs):
-        acc = whole_space(system)
+        acc = system.whole_space()
         for f in funcs:
-            acc = set_intersect(system, acc, f_zero_set(f))
+            acc = system.intersect(acc, f_zero_set(f))
         return acc
 
     def kernel_generators(S):
         gens = []
         for x in points:
-            if not set_contains(system, S, x):
+            if not system.contains(S, x):
                 gens.append(point_indicator(system, x))
         return tuple(gens)
 
@@ -203,8 +202,8 @@ def classical_pair(system) -> GaloisPair:
         "classical hk",
         alpha=common_zeros,
         beta=kernel_generators,
-        leq_a=lambda F, G: set_subset(system, common_zeros(G), common_zeros(F)),
-        leq_b=lambda S, T: set_subset(system, S, T),
+        leq_a=lambda F, G: system.subset(common_zeros(G), common_zeros(F)),
+        leq_b=system.subset,
     )
 
 
@@ -216,7 +215,7 @@ def hull_kernel_pair(system) -> GaloisPair:
         alpha=lambda I: hull(I).subset,
         beta=lambda S: kernel_ideal(system, S),
         leq_a=ideal_leq,
-        leq_b=lambda S, T: set_subset(system, S, T),
+        leq_b=system.subset,
     )
 
 
@@ -235,16 +234,15 @@ def zeros_synth_pair(system) -> GaloisPair:
 def torus_leq(system, T1: TorusSubset, T2: TorusSubset) -> bool:
     """Containment of stored product sets, entrywise on orbits."""
     for e in T1.entries:
-        part = entry_xpart(system, e)
+        part = orbit_closure(system, e.point)
         try:
-            from .dynsys import all_orbits_in
-            probes = all_orbits_in(system, part)
+            probes = system.all_orbits_in(part)
         except UnsupportedQueryError:
             probes = None
         if probes is None:
             # cannot enumerate orbits: need one entry covering the whole part
             if not any(
-                set_subset(system, part, entry_xpart(system, e2))
+                system.subset(part, orbit_closure(system, e2.point))
                 and _lamset_subset(e.lamset, [e2.lamset])
                 for e2 in T2.entries
             ):
@@ -252,15 +250,10 @@ def torus_leq(system, T1: TorusSubset, T2: TorusSubset) -> bool:
             continue
         for x in probes:
             covering = [e2.lamset for e2 in T2.entries
-                        if _xpart_contains_orbit(system, e2, x)]
+                        if system.contains(orbit_closure(system, e2.point), x)]
             if not _lamset_subset(e.lamset, covering):
                 return False
     return True
-
-
-def _xpart_contains_orbit(system, entry, x: Point) -> bool:
-    from .dynsys import set_contains
-    return set_contains(system, entry_xpart(system, entry), x)
 
 
 def _lamset_subset(ls, others) -> bool:

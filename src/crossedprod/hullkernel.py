@@ -11,61 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element
-from .dynsys import (
-    cover_representatives, empty_set, enumerate_invariant_closed_sets,
-    is_invariant_closed, is_minimal, is_periodic, largest_invariant_subset,
-    orbit_closure, orbit_set, set_intersect, set_union, whole_space,
-)
+from .dynsys import is_invariant_closed, is_periodic
 from .errors import UnsupportedQueryError
-from .funcspace import DEFAULT_TOL, f_zero_set
+from .funcspace import DEFAULT_TOL
 from .reps_ideals import (
-    GeneratedIdeal, IdealHandle, IntersectionIdeal, KernelIdeal, PxIdeal,
-    PxLambdaIdeal, QxIdeal, canonical_px, canonical_qx, ideal_member,
-    kernel_ideal,
+    HullResult, IdealHandle, KernelIdeal, canonical_px, canonical_qx,
+    ideal_member, kernel_ideal,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class HullResult:
-    subset: object
-    provenance: tuple
 
 
 def hull(I: IdealHandle, tol: float = DEFAULT_TOL) -> HullResult:
     """Common zero set of all coefficient functions of the ideal."""
-    system = I.system
-    if isinstance(I, PxIdeal):
-        return HullResult(orbit_closure(system, I.x), ("orbit closure of the base point",))
-    if isinstance(I, QxIdeal):
-        return HullResult(orbit_set(system, I.x), ("orbit of the base point",))
-    if isinstance(I, PxLambdaIdeal):
-        return HullResult(empty_set(system),
-                          ("badly behaved: the zero-coefficient image is dense",))
-    if isinstance(I, KernelIdeal):
-        return HullResult(I.subset, ("kernel ideals recover their set",))
-    if isinstance(I, IntersectionIdeal):
-        acc = empty_set(system)
-        notes = []
-        for p in I.parts:
-            h = hull(p, tol)
-            acc = set_union(system, acc, h.subset)
-            notes.extend(h.provenance)
-        return HullResult(acc, ("union over the intersection parts", *notes))
-    if isinstance(I, GeneratedIdeal):
-        acc = whole_space(system)
-        count = 0
-        for g in I.gens:
-            for n, f in g.coeffs.items():
-                acc = set_intersect(system, acc, f_zero_set(f, tol))
-                count += 1
-        inv = largest_invariant_subset(system, acc)
-        return HullResult(inv, (f"intersected {count} coefficient zero sets",
-                                "largest invariant subset taken"))
-    raise UnsupportedQueryError("hull is not defined for this handle")
-
-
-def kernel_of_invariant_set(system, S) -> KernelIdeal:
-    return kernel_ideal(system, S)
+    return I.hull(tol)
 
 
 def kernel_member(system, S, a: Element, tol: float = DEFAULT_TOL) -> bool:
@@ -79,6 +36,7 @@ def kernel_project(system, S, a: Element) -> Element:
     a shift set containing infinity together with finitely many integers
     has no such indicator and is rejected.
     """
+    system.check_set(S)
     return Element(system, {n: system.zero_on(S, f) for n, f in a.coeffs.items()})
 
 
@@ -99,7 +57,7 @@ def decompose_as_intersection(system, S) -> list[IdealHandle]:
     if not is_invariant_closed(system, S):
         raise UnsupportedQueryError("decomposition needs an invariant closed set")
     out = []
-    for x in cover_representatives(system, S):
+    for x in system.cover_representatives(S):
         if is_periodic(system, x):
             out.append(canonical_qx(system, x))
         else:
@@ -118,11 +76,11 @@ class MinimalityReport:
 def minimality_dichotomy(system) -> MinimalityReport:
     """Count invariant closed sets (equivalently, well behaved closed ideals)
     and report whether the system is minimal, i.e. the count is two."""
-    sets = enumerate_invariant_closed_sets(system)
+    sets = system.invariant_closed_sets()
     if sets is None:
-        return MinimalityReport(is_minimal(system), None, None, None)
+        return MinimalityReport(system.is_minimal(), None, None, None)
     count = len(sets)
     listed = tuple(sets) if count <= 64 else None
     minimal = count == 2
-    assert minimal == is_minimal(system)
+    assert minimal == system.is_minimal()
     return MinimalityReport(minimal, count, count, listed)

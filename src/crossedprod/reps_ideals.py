@@ -12,15 +12,16 @@ import math
 from dataclasses import dataclass
 
 from . import scalars as sc
-from .algebra import Element, demote_to_float, element, from_func
+from .algebra import Element, alg_adj, demote_to_float, element, from_func
 from .dynsys import (
-    Point, apply_sigma, is_periodic, orbit_closure, orbit_points,
-    orbit_set, period, set_contains, set_equal, set_is_empty, set_subset,
+    Point, apply_sigma, is_periodic, orbit_points, period,
     is_invariant_closed, validate_point,
 )
 from .errors import SystemMismatchError, UnsupportedQueryError
-from .funcspace import (
-    DEFAULT_TOL, Func, f_eval, f_scale, one_func, separating_func, vanishes_on,
+from .funcspace import DEFAULT_TOL, Func, f_eval, f_scale, one_func
+from .transform import (
+    FiniteRoots, FullCircle, TorusEntry, TorusSubset, generated_zero_set,
+    pth_roots, torus_contains,
 )
 
 
@@ -116,78 +117,271 @@ def rep_aperiodic_window(system, x: Point, W: int, a: Element) -> RepMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class PxIdeal:
-    """Kernel of the aperiodic-point representation."""
+class HullResult:
+    subset: object
+    provenance: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class BehaviourReport:
+    kind: str  # "well" | "bad" | "plain"
+    escape_function: Func | None = None
+    escape_element: Element | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class IdealHandle:
+    """A closed ideal as a membership oracle plus structural data.  Each kind
+    answers ``member``, ``hull`` (the zero set in X), ``zeros`` (the zero set
+    in X x T), ``behaviour`` and ``contains`` (whether a handle lies inside
+    it); the defaults here answer the shapes no closed form covers."""
 
     system: object
+    canonical = False  # one of the three canonical families Px, Qx, Pxl
+
+    def member(self, a: Element, tol: float) -> bool:
+        raise UnsupportedQueryError(
+            "membership in a generated ideal is answered through its zero set"
+        )
+
+    def behaviour(self, tol: float) -> BehaviourReport:
+        raise UnsupportedQueryError("behaviour classification not defined for this shape")
+
+    def contains(self, I: IdealHandle, tol: float) -> bool:
+        raise UnsupportedQueryError("containment is not decidable for this pair")
+
+    def _inside_pxl(self, J: PxLambdaIdeal, tol: float) -> bool:
+        """Whether this ideal lies in J: its zero set meets the torus fibre
+        of J, which characterises containment."""
+        Z = self.zeros(tol)
+        return any(torus_contains(Z, J.x, mu) for mu in pth_roots(J.lam, period(J.system, J.x)))
+
+    def _beside_bad(self, J: PxLambdaIdeal, tol: float) -> BehaviourReport:
+        """Behaviour of the meet of this ideal with the badly behaved J; only
+        a Px part has a closed form."""
+        return IdealHandle.behaviour(self, tol)
+
+    def adjoint(self) -> IdealHandle:
+        raise UnsupportedQueryError("adjoint comparison takes a generated ideal")
+
+
+@dataclass(frozen=True, eq=False)
+class SetKernelIdeal(IdealHandle):
+    """The elements whose coefficients all vanish on the invariant closed set
+    ``subset``.  Px, Qx and K are such kernels; they differ only in how the
+    set is named, which shows in their zero sets and hull notes."""
+
+    subset: object
+
+    def member(self, a: Element, tol: float) -> bool:
+        return all(self.system.vanishes_on(f, self.subset, tol) for f in a.coeffs.values())
+
+    def hull(self, tol: float) -> HullResult:
+        return HullResult(self.subset, (self.hull_note,))
+
+    def behaviour(self, tol: float) -> BehaviourReport:
+        return BehaviourReport("well")
+
+    def contains(self, I: IdealHandle, tol: float) -> bool:
+        return self.system.subset(self.subset, I.hull(tol).subset)
+
+
+@dataclass(frozen=True, eq=False)
+class PxIdeal(SetKernelIdeal):
+    """Kernel of the aperiodic-point representation: the set kernel of the
+    orbit closure of ``x``."""
+
     x: Point
+    canonical = True
+    hull_note = "orbit closure of the base point"
 
     def __repr__(self):
         return f"Px({self.x!r})"
 
+    def zeros(self, tol: float) -> TorusSubset:
+        return TorusSubset(self.system, (TorusEntry(self.x, FullCircle(), use_closure=True),))
+
+    def _beside_bad(self, J: PxLambdaIdeal, tol: float) -> BehaviourReport:
+        if self.system.contains(self.subset, J.x):
+            return BehaviourReport("well")  # the intersection collapses to Px
+        f = self.system.separating_func(self.subset, J.x, sc.is_exact(J.lam))
+        a = escape_element(f, J.lam, period(self.system, J.x))
+        if not (self.member(a, tol) and J.member(a, tol)):
+            raise AssertionError("plain-ideal witness failed the membership check")
+        if J.member(from_func(f), tol):
+            raise AssertionError("escape function unexpectedly inside the ideal")
+        return BehaviourReport("plain", escape_function=f, escape_element=a)
+
 
 @dataclass(frozen=True, eq=False)
-class PxLambdaIdeal:
+class PxLambdaIdeal(IdealHandle):
     """Kernel of the periodic-point representation with torus parameter."""
 
-    system: object
     x: Point
     lam: object
+    canonical = True
 
     def __repr__(self):
         return f"Pxl({self.x!r}, {self.lam})"
 
+    def member(self, a: Element, tol: float) -> bool:
+        """The finite vanishing conditions cutting out the kernel: for every
+        orbit point and every residue j mod the period, the lam-weighted sum
+        of the coefficients with index in that residue class is zero."""
+        p = period(self.system, self.x)
+        a, lam = _unify_lam(a, self.lam)
+        for xp in orbit_points(self.system, self.x):
+            for j in range(p):
+                acc = None
+                for n, f in a.coeffs.items():
+                    if (n - j) % p == 0:
+                        l = (n - j) // p
+                        t = sc.unit_pow(lam, l) * f_eval(f, xp)
+                        acc = t if acc is None else acc + t
+                if acc is not None and not sc.is_zero(acc, tol):
+                    return False
+        return True
+
+    def hull(self, tol: float) -> HullResult:
+        return HullResult(self.system.empty_set(),
+                          ("badly behaved: the zero-coefficient image is dense",))
+
+    def zeros(self, tol: float) -> TorusSubset:
+        roots = pth_roots(self.lam, period(self.system, self.x))
+        return TorusSubset(self.system, (TorusEntry(self.x, FiniteRoots(tuple(roots))),))
+
+    def behaviour(self, tol: float) -> BehaviourReport:
+        f = one_func(self.system, exact=sc.is_exact(self.lam))
+        a = escape_element(f, self.lam, period(self.system, self.x))
+        return BehaviourReport("bad", escape_function=f, escape_element=a)
+
+    def contains(self, I: IdealHandle, tol: float) -> bool:
+        return I._inside_pxl(self, tol)
+
+    def _inside_pxl(self, J: PxLambdaIdeal, tol: float) -> bool:
+        """One orbit and equal torus parameters: exactly equal when both are
+        exact, else within 1e-12."""
+        if not self.system.contains(self.system.orbit_closure(self.x), J.x):
+            return False
+        if sc.is_exact(self.lam) and sc.is_exact(J.lam):
+            return self.lam == J.lam
+        return abs(complex(self.lam) - complex(J.lam)) <= 1e-12
+
 
 @dataclass(frozen=True, eq=False)
-class QxIdeal:
-    """Intersection of the periodic-point kernels over all torus parameters."""
+class QxIdeal(SetKernelIdeal):
+    """Intersection of the periodic-point kernels over all torus parameters:
+    the set kernel of the orbit of ``x``."""
 
-    system: object
     x: Point
+    canonical = True
+    hull_note = "orbit of the base point"
 
     def __repr__(self):
         return f"Qx({self.x!r})"
 
+    def zeros(self, tol: float) -> TorusSubset:
+        return TorusSubset(self.system, (TorusEntry(self.x, FullCircle()),))
+
 
 @dataclass(frozen=True, eq=False)
-class KernelIdeal:
+class KernelIdeal(SetKernelIdeal):
     """All elements whose coefficients vanish on an invariant closed set."""
 
-    system: object
-    subset: object
+    hull_note = "kernel ideals recover their set"
 
     def __repr__(self):
         return f"K({self.subset!r})"
 
+    def zeros(self, tol: float) -> TorusSubset:
+        reps = self.system.cover_representatives(self.subset)
+        return TorusSubset(self.system, tuple(
+            TorusEntry(x, FullCircle(), use_closure=True) for x in reps
+        ))
+
 
 @dataclass(frozen=True, eq=False)
-class IntersectionIdeal:
-    system: object
+class IntersectionIdeal(IdealHandle):
+    """The meet of its parts, answering every question from theirs."""
+
     parts: tuple
 
     def __repr__(self):
         return "meet(" + ", ".join(repr(p) for p in self.parts) + ")"
 
+    def member(self, a: Element, tol: float) -> bool:
+        return all(p.member(a, tol) for p in self.parts)
+
+    def hull(self, tol: float) -> HullResult:
+        acc = self.system.empty_set()
+        notes = []
+        for p in self.parts:
+            h = p.hull(tol)
+            acc = self.system.union(acc, h.subset)
+            notes.extend(h.provenance)
+        return HullResult(acc, ("union over the intersection parts", *notes))
+
+    def zeros(self, tol: float) -> TorusSubset:
+        return TorusSubset(self.system, tuple(
+            e for p in self.parts for e in p.zeros(tol).entries
+        ))
+
+    def behaviour(self, tol: float) -> BehaviourReport:
+        """Well when every part is, and a single part's own answer otherwise;
+        a Px part met with a Pxl part, in either order, is plain unless it
+        collapses to the Px part."""
+        reports = [p.behaviour(tol) for p in self.parts]
+        kinds = [r.kind for r in reports]
+        if all(k == "well" for k in kinds):
+            return BehaviourReport("well")
+        if len(reports) == 1:
+            return reports[0]
+        if sorted(kinds) == ["bad", "well"]:
+            well, bad = self.parts if kinds[0] == "well" else self.parts[::-1]
+            if bad.canonical:  # a Pxl handle, not a meet of one
+                return well._beside_bad(bad, tol)
+        return super().behaviour(tol)
+
+    def contains(self, I: IdealHandle, tol: float) -> bool:
+        return all(p.contains(I, tol) for p in self.parts)
+
 
 @dataclass(frozen=True, eq=False)
-class GeneratedIdeal:
+class GeneratedIdeal(IdealHandle):
     """Two-sided closed ideal generated by finitely many elements."""
 
-    system: object
     gens: tuple
 
     def __repr__(self):
         return f"gen(<{len(self.gens)} generators>)"
 
+    def hull(self, tol: float) -> HullResult:
+        acc = self.system.whole_space()
+        count = 0
+        for g in self.gens:
+            for f in g.coeffs.values():
+                acc = self.system.intersect(acc, self.system.zero_set(f, tol))
+                count += 1
+        return HullResult(self.system.largest_invariant_subset(acc),
+                          (f"intersected {count} coefficient zero sets",
+                           "largest invariant subset taken"))
 
-IdealHandle = object
+    def zeros(self, tol: float) -> TorusSubset:
+        return generated_zero_set(self, tol)
+
+    def adjoint(self) -> GeneratedIdeal:
+        return GeneratedIdeal(self.system, tuple(alg_adj(g) for g in self.gens))
+
+
+# ---------------------------------------------------------------------------
+# Checked entry points
 
 
 def canonical_px(system, x: Point) -> PxIdeal:
     validate_point(system, x)
     if is_periodic(system, x):
         raise UnsupportedQueryError("Px needs an aperiodic point")
-    return PxIdeal(system, x)
+    return PxIdeal(system, system.orbit_closure(x), x)
 
 
 def canonical_px_lambda(system, x: Point, lam) -> PxLambdaIdeal:
@@ -201,7 +395,7 @@ def canonical_qx(system, x: Point) -> QxIdeal:
     validate_point(system, x)
     if not is_periodic(system, x):
         raise UnsupportedQueryError("Qx needs a periodic point")
-    return QxIdeal(system, x)
+    return QxIdeal(system, system.orbit_closure(x), x)
 
 
 def kernel_ideal(system, S) -> KernelIdeal:
@@ -226,59 +420,11 @@ def generated_ideal(system, gens) -> GeneratedIdeal:
     return GeneratedIdeal(system, gens)
 
 
-# ---------------------------------------------------------------------------
-# Membership
-
-
-def vanishing_sum_holds(system, x: Point, lam, a: Element, tol: float) -> bool:
-    """The finite vanishing conditions cutting out the periodic-point kernel:
-    for every orbit point and every residue j mod the period, the lam-weighted
-    sum of the coefficients with index in that residue class is zero."""
-    p = period(system, x)
-    a, lam = _unify_lam(a, lam)
-    for xp in orbit_points(system, x):
-        for j in range(p):
-            acc = None
-            for n, f in a.coeffs.items():
-                if (n - j) % p == 0:
-                    l = (n - j) // p
-                    t = sc.unit_pow(lam, l) * f_eval(f, xp)
-                    acc = t if acc is None else acc + t
-            if acc is not None and not sc.is_zero(acc, tol):
-                return False
-    return True
-
-
 def ideal_member(I: IdealHandle, a: Element, tol: float = DEFAULT_TOL) -> bool:
     """Exact membership oracle for every handle except generated ideals."""
     if a.system != I.system:
         raise SystemMismatchError("element on the wrong system")
-    if isinstance(I, PxIdeal):
-        S = orbit_closure(I.system, I.x)
-        return all(vanishes_on(f, S, tol) for f in a.coeffs.values())
-    if isinstance(I, QxIdeal):
-        S = orbit_set(I.system, I.x)
-        return all(vanishes_on(f, S, tol) for f in a.coeffs.values())
-    if isinstance(I, PxLambdaIdeal):
-        return vanishing_sum_holds(I.system, I.x, I.lam, a, tol)
-    if isinstance(I, KernelIdeal):
-        return all(vanishes_on(f, I.subset, tol) for f in a.coeffs.values())
-    if isinstance(I, IntersectionIdeal):
-        return all(ideal_member(p, a, tol) for p in I.parts)
-    raise UnsupportedQueryError(
-        "membership in a generated ideal is answered through its zero set"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Behaviour classification
-
-
-@dataclass(frozen=True, eq=False)
-class BehaviourReport:
-    kind: str  # "well" | "bad" | "plain"
-    escape_function: Func | None = None
-    escape_element: Element | None = None
+    return I.member(a, tol)
 
 
 def escape_element(f: Func, lam, p: int) -> Element:
@@ -300,67 +446,16 @@ def ideal_behaviour(I: IdealHandle, tol: float = DEFAULT_TOL) -> BehaviourReport
     For the plain case the report carries explicit witnesses: a function in
     the image of the zero-coefficient projection that is not itself a member.
     """
-    if isinstance(I, (PxIdeal, QxIdeal, KernelIdeal)):
-        return BehaviourReport("well")
-    if isinstance(I, PxLambdaIdeal):
-        f = one_func(I.system, exact=sc.is_exact(I.lam))
-        a = escape_element(f, I.lam, period(I.system, I.x))
-        return BehaviourReport("bad", escape_function=f, escape_element=a)
-    if isinstance(I, IntersectionIdeal):
-        if all(ideal_behaviour(p, tol).kind == "well" for p in I.parts):
-            return BehaviourReport("well")
-        if len(I.parts) == 2 and isinstance(I.parts[0], PxIdeal) \
-                and isinstance(I.parts[1], PxLambdaIdeal):
-            px, pxl = I.parts
-            closure = orbit_closure(I.system, px.x)
-            if set_contains(I.system, closure, pxl.x):
-                return BehaviourReport("well")  # the intersection collapses to Px
-            f = separating_func(I.system, closure, pxl.x, exact=sc.is_exact(pxl.lam))
-            a = escape_element(f, pxl.lam, period(I.system, pxl.x))
-            if not ideal_member(I, a, tol):
-                raise AssertionError("plain-ideal witness failed the membership check")
-            if ideal_member(I.parts[1], from_func(f), tol):
-                raise AssertionError("escape function unexpectedly inside the ideal")
-            return BehaviourReport("plain", escape_function=f, escape_element=a)
-    raise UnsupportedQueryError("behaviour classification not defined for this shape")
-
-
-# ---------------------------------------------------------------------------
-# Inclusion table for canonical handles
-
-
-def _same_orbit(system, x1: Point, x2: Point) -> bool:
-    return set_equal(system, orbit_set(system, x1), orbit_set(system, x2))
-
-
-def _lam_eq(l1, l2) -> bool:
-    if sc.is_exact(l1) and sc.is_exact(l2):
-        return l1 == l2
-    return abs(complex(l1) - complex(l2)) <= 1e-12
+    return I.behaviour(tol)
 
 
 def ideal_inclusion(I: IdealHandle, J: IdealHandle) -> bool:
     """Containment of canonical handles, decided purely from orbit data."""
-    system = I.system
-    if J.system != system:
+    if J.system != I.system:
         raise SystemMismatchError("handles on different systems")
-    if isinstance(I, PxIdeal):
-        c1 = orbit_closure(system, I.x)
-        if isinstance(J, PxIdeal):
-            return set_subset(system, orbit_closure(system, J.x), c1)
-        if isinstance(J, (QxIdeal, PxLambdaIdeal)):
-            return set_subset(system, orbit_set(system, J.x), c1)
-    if isinstance(I, QxIdeal):
-        if isinstance(J, PxIdeal):
-            return False
-        if isinstance(J, (QxIdeal, PxLambdaIdeal)):
-            return _same_orbit(system, I.x, J.x)
-    if isinstance(I, PxLambdaIdeal):
-        if isinstance(J, PxLambdaIdeal):
-            return _same_orbit(system, I.x, J.x) and _lam_eq(I.lam, J.lam)
-        if isinstance(J, (PxIdeal, QxIdeal)):
-            return False
-    raise UnsupportedQueryError("inclusion table covers canonical handles only")
+    if not (I.canonical and J.canonical):
+        raise UnsupportedQueryError("inclusion table covers canonical handles only")
+    return J.contains(I, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +527,7 @@ class Restriction:
 def restrict_system(system, S) -> Restriction:
     if not is_invariant_closed(system, S):
         raise UnsupportedQueryError("restriction needs an invariant closed set")
-    if set_is_empty(S):
+    if S.is_empty():
         raise UnsupportedQueryError("cannot restrict to the empty set")
     sub, pmap, fmap = system.restriction(S)
     return Restriction(system, S, sub, pmap, fmap)

@@ -13,14 +13,13 @@ from . import scalars as sc
 from .algebra import Element, alg_add, alg_mul
 from .dynsys import (
     FiniteSystem, Point, RotationSystem, ShiftSystem, UnionSystem,
-    is_periodic, orbit_closure, orbit_set, period,
+    is_periodic, period,
 )
 from .errors import UnsupportedQueryError
 from .funcspace import Func, zero_func
 from .reps_ideals import (
-    IdealHandle, IntersectionIdeal, KernelIdeal, PxIdeal,
-    PxLambdaIdeal, QxIdeal, canonical_px, canonical_px_lambda, canonical_qx,
-    escape_element,
+    IdealHandle, IntersectionIdeal, PxLambdaIdeal, SetKernelIdeal,
+    canonical_px, canonical_px_lambda, canonical_qx, escape_element,
 )
 
 
@@ -98,10 +97,9 @@ def random_func_vanishing_on(system, S, rng: random.Random, exact: bool = False)
         return zero_func(system)
     if not S.turns:
         return random_func(system, rng, exact=False)
-    from .dynsys import set_contains
     from .funcspace import f_mul, separating_func
     t = (float(S.turns[0]) + 0.25) % 1.0
-    while set_contains(system, S, Point(t)):
+    while system.contains(S, Point(t)):
         t = (t + 0.13) % 1.0
     base = separating_func(system, S, Point(t))
     return f_mul(base, random_func(system, rng, exact=False))
@@ -111,14 +109,13 @@ def random_member(I: IdealHandle, rng: random.Random, radius: int = 3,
                   exact: bool = False) -> Element:
     """A random element of a canonical or intersection handle."""
     system = I.system
-    if isinstance(I, (PxIdeal, QxIdeal, KernelIdeal)):
-        S = _hull_set(I)
+    if isinstance(I, SetKernelIdeal):
         coeffs = {}
         for n in range(-radius, radius + 1):
             if rng.random() < 0.6:
-                coeffs[n] = random_func_vanishing_on(system, S, rng, exact)
+                coeffs[n] = random_func_vanishing_on(system, I.subset, rng, exact)
         if not coeffs:
-            coeffs[0] = random_func_vanishing_on(system, S, rng, exact)
+            coeffs[0] = random_func_vanishing_on(system, I.subset, rng, exact)
         return Element(system, coeffs)
     if isinstance(I, PxLambdaIdeal):
         p = period(system, I.x)
@@ -139,14 +136,6 @@ def random_member(I: IdealHandle, rng: random.Random, radius: int = 3,
             out = alg_mul(out, random_member(p, rng, 1, exact))
         return out
     raise UnsupportedQueryError("no member generator for this handle")
-
-
-def _hull_set(I):
-    if isinstance(I, PxIdeal):
-        return orbit_closure(I.system, I.x)
-    if isinstance(I, QxIdeal):
-        return orbit_set(I.system, I.x)
-    return I.subset
 
 
 def canonical_handles(system, lam_values=(1 + 0j, -1 + 0j, 1j)) -> list[IdealHandle]:

@@ -15,7 +15,7 @@ from .algebra import (
     Element, alg_add, alg_mul, alg_norm, alg_scale, alg_sub, expectation,
     from_func, zero_element,
 )
-from .dynsys import RotationSystem, some_periodic_point, is_free, period
+from .dynsys import RotationSystem, is_free, period
 from .errors import UnsupportedQueryError
 from .funcspace import f_algnorm, one_func, trig_poly
 from .reps_ideals import (
@@ -100,7 +100,7 @@ def dichotomy_report(system, epsilon: float = 0.1, max_rounds: int = 14) -> Dich
     averaging run as positive evidence.
     """
     if not is_free(system):
-        x = some_periodic_point(system)
+        x = system.some_periodic_point()
         p = period(system, x)
         lam = 1 + 0j
         f = one_func(system)

@@ -13,22 +13,13 @@ import math
 from dataclasses import dataclass
 
 from . import scalars as sc
-from .algebra import Element, alg_adj, alg_mul, demote_to_float, from_func
+from .algebra import Element, alg_mul, demote_to_float, from_func
 from .dynsys import (
-    Point, cover_representatives, is_periodic, orbit_closure,
-    orbit_points, orbit_set, period, set_contains, set_is_empty, set_subset,
-    whole_space,
+    Point, is_periodic, orbit_closure, orbit_points, period,
 )
-from .errors import UnsupportedQueryError
 from .funcspace import (
     DEFAULT_TOL, Func, cx_basis, f_add, f_eval, f_scale, vanishes_on,
     zero_func,
-)
-from .hullkernel import hull
-from .reps_ideals import (
-    GeneratedIdeal, IdealHandle, IntersectionIdeal, KernelIdeal, PxIdeal,
-    PxLambdaIdeal, QxIdeal, canonical_px, canonical_px_lambda, canonical_qx,
-    ideal_inclusion, intersection_ideal,
 )
 
 ROOT_MATCH_TOL = 1e-6
@@ -63,13 +54,11 @@ class PolynomialRoots:
         return "poly{" + ",".join(f"{complex(c):.6g}" for c in self.coeffs) + "}"
 
 
-LambdaSet = object
-
-
 @dataclass(frozen=True, eq=False)
 class TorusEntry:
-    """One orbit of the product set: the X part is the orbit of the point
-    (its closure when use_closure is set), the torus part is the lambda set."""
+    """One orbit of the product set: the X part is the orbit closure of the
+    point (the orbit itself for a periodic point, so use_closure only marks
+    how the entry is written), the torus part is the lambda set."""
 
     point: Point
     lamset: object
@@ -130,22 +119,17 @@ def lamset_contains(ls, mu, tol: float = ROOT_MATCH_TOL) -> bool:
     return any(abs(complex(mu) - u) <= tol for u in r)
 
 
-def entry_xpart(system, e: TorusEntry):
-    if e.use_closure or not is_periodic(system, e.point):
-        return orbit_closure(system, e.point)
-    return orbit_set(system, e.point)
-
-
 def torus_contains(T: TorusSubset, x: Point, mu, tol: float = ROOT_MATCH_TOL) -> bool:
     for e in T.entries:
-        if set_contains(T.system, entry_xpart(T.system, e), x) and lamset_contains(e.lamset, mu, tol):
+        xpart = orbit_closure(T.system, e.point)
+        if T.system.contains(xpart, x) and lamset_contains(e.lamset, mu, tol):
             return True
     return False
 
 
 def torus_is_empty(T: TorusSubset) -> bool:
     return all(
-        lamset_is_empty(e.lamset) or set_is_empty(entry_xpart(T.system, e))
+        lamset_is_empty(e.lamset) or orbit_closure(T.system, e.point).is_empty()
         for e in T.entries
     )
 
@@ -219,35 +203,15 @@ def _euclid(a, b, tol):
 # Zero sets of ideals
 
 
-def zeros_of_ideal(I: IdealHandle, tol: float = DEFAULT_TOL) -> TorusSubset:
+def zeros_of_ideal(I, tol: float = DEFAULT_TOL) -> TorusSubset:
     """The common zero set of the transforms of the ideal's elements."""
-    system = I.system
-    if isinstance(I, PxIdeal):
-        return TorusSubset(system, (TorusEntry(I.x, FullCircle(), use_closure=True),))
-    if isinstance(I, QxIdeal):
-        return TorusSubset(system, (TorusEntry(I.x, FullCircle()),))
-    if isinstance(I, PxLambdaIdeal):
-        p = period(system, I.x)
-        return TorusSubset(system, (TorusEntry(I.x, FiniteRoots(tuple(pth_roots(I.lam, p)))),))
-    if isinstance(I, KernelIdeal):
-        reps = cover_representatives(system, I.subset)
-        return TorusSubset(system, tuple(
-            TorusEntry(x, FullCircle(), use_closure=True) for x in reps
-        ))
-    if isinstance(I, IntersectionIdeal):
-        entries: list = []
-        for p in I.parts:
-            entries.extend(zeros_of_ideal(p, tol).entries)
-        return TorusSubset(system, tuple(entries))
-    if isinstance(I, GeneratedIdeal):
-        return TorusSubset(system, tuple(_generated_zero_entries(I, tol)))
-    raise UnsupportedQueryError("zero sets are not defined for this handle")
+    return I.zeros(tol)
 
 
-def _generated_zero_entries(I: GeneratedIdeal, tol):
-    """One entry per orbit that every generator's transform vanishes on:
-    the lambda set of a periodic orbit, the full circle over the closure
-    of an aperiodic one."""
+def generated_zero_set(I, tol: float) -> TorusSubset:
+    """Zero set of a generated ideal, one entry per orbit that every
+    generator's transform vanishes on: the lambda set of a periodic orbit,
+    the full circle over the closure of an aperiodic one."""
     out = []
     for x in I.system.orbit_reps():
         if is_periodic(I.system, x):
@@ -258,10 +222,10 @@ def _generated_zero_entries(I: GeneratedIdeal, tol):
             closure = orbit_closure(I.system, x)
             if all(vanishes_on(f, closure, tol) for g in I.gens for f in g.coeffs.values()):
                 out.append(TorusEntry(x, FullCircle(), use_closure=True))
-    return out
+    return TorusSubset(I.system, tuple(out))
 
 
-def _periodic_lambda_set(I: GeneratedIdeal, x: Point, tol):
+def _periodic_lambda_set(I, x: Point, tol):
     """Lambda set of a periodic orbit for a generated ideal: common unit
     roots of the per-generator vanishing conditions, as one gcd polynomial.
 
@@ -289,10 +253,7 @@ def _periodic_lambda_set(I: GeneratedIdeal, x: Point, tol):
                     l = (n - j) // p
                     poly[(l - lmin) * p] += complex(f_eval(g.coeffs[n], xp))
                 conds.append(poly)
-    nonzero = [c for c in conds if _poly_trim(c, tol)]
-    if not nonzero:
-        return FullCircle()
-    g = poly_gcd(nonzero, tol)
+    g = poly_gcd(conds, tol)
     if g is None:
         return FullCircle()
     if len(g) == 1:
@@ -304,46 +265,33 @@ def _periodic_lambda_set(I: GeneratedIdeal, x: Point, tol):
 # Synthesized ideals
 
 
-def ideal_of_torus_set(T: TorusSubset, tol: float = DEFAULT_TOL) -> IntersectionIdeal:
+def ideal_of_torus_set(T: TorusSubset, tol: float = DEFAULT_TOL):
     """The largest ideal whose transforms vanish on T, written as an
     intersection of canonical ideals (one per orbit/root)."""
+    from .reps_ideals import (  # reps_ideals imports this module
+        canonical_px, canonical_px_lambda, canonical_qx, intersection_ideal,
+    )
     system = T.system
     parts: list = []
+    whole: list = []  # points already given their whole circle
+    given: list = []  # (point, torus parameter) pairs already given
     for e in T.entries:
-        if lamset_is_empty(e.lamset):
-            continue
-        if not is_periodic(system, e.point):
-            parts.append(canonical_px(system, e.point))
+        roots = lamset_roots(e.lamset)
+        if roots == []:
             continue
         p = period(system, e.point)
-        roots = lamset_roots(e.lamset)
-        if roots is None:
-            parts.append(canonical_qx(system, e.point))
+        if p is None or roots is None:
+            if e.point not in whole:
+                whole.append(e.point)
+                parts.append(canonical_px(system, e.point) if p is None
+                             else canonical_qx(system, e.point))
             continue
-        lams: list[complex] = []
         for mu in roots:
             lam = complex(mu) ** p
-            if not any(abs(lam - l) <= ROOT_MATCH_TOL for l in lams):
-                lams.append(lam)
-        for lam in lams:
-            parts.append(canonical_px_lambda(system, e.point, lam))
-    dedup: list = []
-    for p_ in parts:
-        if not any(_handle_same(p_, q) for q in dedup):
-            dedup.append(p_)
-    return intersection_ideal(system, dedup)
-
-
-def _handle_same(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, PxIdeal):
-        return a.x == b.x
-    if isinstance(a, QxIdeal):
-        return a.x == b.x
-    if isinstance(a, PxLambdaIdeal):
-        return a.x == b.x and abs(complex(a.lam) - complex(b.lam)) <= ROOT_MATCH_TOL
-    return False
+            if not any(x == e.point and abs(lam - l) <= ROOT_MATCH_TOL for x, l in given):
+                given.append((e.point, lam))
+                parts.append(canonical_px_lambda(system, e.point, lam))
+    return intersection_ideal(system, parts)
 
 
 def tilde_member(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> bool:
@@ -402,7 +350,7 @@ def _shift_window(T: TorusSubset, a: Element) -> tuple:
     return tuple(range(lo, hi + 1)) + (hi + N + 1,)
 
 
-def zi_closure(I: IdealHandle, tol: float = DEFAULT_TOL) -> IntersectionIdeal:
+def zi_closure(I, tol: float = DEFAULT_TOL):
     """Smallest representation kernel containing the ideal: the synthesized
     ideal of its zero set."""
     return ideal_of_torus_set(zeros_of_ideal(I, tol), tol)
@@ -416,7 +364,7 @@ class ZerosReport:
     zeros: TorusSubset
 
 
-def zeros_nonempty_report(I: IdealHandle, tol: float = DEFAULT_TOL) -> ZerosReport:
+def zeros_nonempty_report(I, tol: float = DEFAULT_TOL) -> ZerosReport:
     """Report whether the zero set is nonempty, with a witness pair.
 
     A nonempty zero set means the ideal sits inside the kernel of one of
@@ -437,19 +385,15 @@ def zeros_nonempty_report(I: IdealHandle, tol: float = DEFAULT_TOL) -> ZerosRepo
                        "no canonical representation kernel contains the ideal", Z)
 
 
-def adjoint_zeros_equal(I: GeneratedIdeal, grid_order: int = 64,
-                        tol: float = 1e-8) -> bool:
+def adjoint_zeros_equal(I, grid_order: int = 64, tol: float = 1e-8) -> bool:
     """Zero sets of a generated ideal and of its adjoint ideal coincide.
 
     Compared two ways: membership patterns over a root-of-unity grid of
     the given order, and matching of the computed per-orbit root lists.
     """
-    if not isinstance(I, GeneratedIdeal):
-        raise UnsupportedQueryError("adjoint comparison takes a generated ideal")
-    Iadj = GeneratedIdeal(I.system, tuple(alg_adj(g) for g in I.gens))
     Z1 = zeros_of_ideal(I)
-    Z2 = zeros_of_ideal(Iadj)
-    probes = cover_representatives(I.system, whole_space(I.system))
+    Z2 = zeros_of_ideal(I.adjoint())
+    probes = I.system.cover_representatives(I.system.whole_space())
     grid = sc.roots_of_unity(grid_order)
     for x in probes:
         for mu in grid:
@@ -489,27 +433,11 @@ def _same_root_lists(Z1: TorusSubset, Z2: TorusSubset) -> bool:
 # General containment of handles
 
 
-def ideal_leq(I: IdealHandle, J: IdealHandle, tol: float = DEFAULT_TOL) -> bool:
+def ideal_leq(I, J, tol: float = DEFAULT_TOL) -> bool:
     """Containment of I in J for every constructible handle pair.
 
-    Canonical pairs use the orbit-data table; kernel-type targets reduce to
-    hulls; torus-parameter targets reduce to the zero set of I meeting the
-    zero set of J, which characterises containment.
+    Kernel-type targets reduce to hulls; torus-parameter targets reduce to
+    the zero set of I meeting the zero set of J, which characterises
+    containment; a meet contains I when each of its parts does.
     """
-    if isinstance(J, IntersectionIdeal):
-        return all(ideal_leq(I, p, tol) for p in J.parts)
-    canonical = (PxIdeal, QxIdeal, PxLambdaIdeal)
-    if isinstance(I, canonical) and isinstance(J, canonical):
-        return ideal_inclusion(I, J)
-    system = I.system
-    if isinstance(J, KernelIdeal):
-        return set_subset(system, J.subset, hull(I, tol).subset)
-    if isinstance(J, PxIdeal):
-        return set_subset(system, orbit_closure(system, J.x), hull(I, tol).subset)
-    if isinstance(J, QxIdeal):
-        return set_subset(system, orbit_set(system, J.x), hull(I, tol).subset)
-    if isinstance(J, PxLambdaIdeal):
-        Z = zeros_of_ideal(I, tol)
-        p = period(system, J.x)
-        return any(torus_contains(Z, J.x, mu) for mu in pth_roots(J.lam, p))
-    raise UnsupportedQueryError("containment is not decidable for this pair")
+    return J.contains(I, tol)

@@ -26,7 +26,7 @@ from crossedprod.algebra import (
 )
 from crossedprod.dynsys import (
     FiniteSet, FiniteSystem, RotationSystem, ShiftSystem, UnionSystem,
-    enumerate_invariant_closed_sets, orbit_points, pt,
+    orbit_points, pt,
     set_equal,
 )
 from crossedprod.funcspace import (
@@ -232,7 +232,7 @@ def test_criterion_07_function_model_operator_laws():
     for n in range(1, 7):
         for sigma in itertools.permutations(range(n)):
             system = FiniteSystem(n, sigma)
-            for S in enumerate_invariant_closed_sets(system):
+            for S in system.invariant_closed_sets():
                 assert set_equal(system, hull_kernel_compose(system, S), S)
                 checked_sets += 1
     # kernel-hull grows, and fixes exactly the well behaved handles
@@ -255,7 +255,7 @@ def test_criterion_07_function_model_operator_laws():
                 assert not ideal_member(I, unit(system), 1e-9)
     # decomposition of kernel ideals: joint membership equals membership
     count = 0
-    for S in enumerate_invariant_closed_sets(U):
+    for S in U.invariant_closed_sets():
         K = kernel_ideal(U, S)
         joint = intersection_ideal(U, decompose_as_intersection(U, S))
         for _ in range(34):
@@ -326,7 +326,7 @@ def test_criterion_08_transform_model_operator_laws():
 
 def _hk_sample_family(system, lam_grid):
     handles = list(canonical_handles(system, lam_values=lam_grid))
-    sets = enumerate_invariant_closed_sets(system)
+    sets = system.invariant_closed_sets()
     handles.extend(kernel_ideal(system, S) for S in sets)
     extra = []
     for i in range(0, len(handles) - 1, 2):

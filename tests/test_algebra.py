@@ -8,7 +8,7 @@ from crossedprod.algebra import (
     delta_power, dual_action, dual_average, elem_close, elem_is_zero,
     expectation, fourier_eval, from_func, unit, zero_element,
 )
-from crossedprod.dynsys import apply_sigma, enumerate_points, pt
+from crossedprod.dynsys import apply_sigma, pt
 from crossedprod.errors import SystemMismatchError
 from crossedprod.funcspace import (
     f_compose_sigma, f_conj, f_eval, f_is_zero, f_mul, f_sub, finite_func,
@@ -49,7 +49,7 @@ def fourier_oracle(a, x, lam):
 
 
 def probe_points(system):
-    return enumerate_points(system)
+    return system.points()
 
 
 # ---------------------------------------------------------------------------

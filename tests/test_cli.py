@@ -75,6 +75,20 @@ def test_tolerance_env_override(monkeypatch):
     assert out.strip() == "false"
 
 
+@pytest.mark.parametrize("px,pxl", [("Px(c0:0)", "Pxl(c0:inf, 1)"),
+                                    ("Px(c0:0)", "Pxl(c1:0, 1)"),
+                                    ("Qx(c1:0)", "Pxl(c1:0, 1)"),
+                                    ("K(u[{inf}; {}])", "Pxl(c1:0, 1)")])
+def test_meet_behaviour_ignores_the_order_of_its_parts(px, pxl):
+    # a Px part met with a Pxl part is classified in either order, witnesses
+    # included; with Qx or K beside the Pxl part the shape stays unsupported
+    runs = [invoke(full_argv("union_shift_cycle3.cfg",
+                             ["behaviour", "--ideal", f"meet({a}, {b})"]))
+            for a, b in ((px, pxl), (pxl, px))]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (0 if px.startswith("Px") else 4)
+
+
 def test_records_mode_shape():
     cfg = str(DATA / "cycle3_exact.cfg")
     code, out = invoke(["--config", cfg, "--records", "norm", "--elem", "d"])

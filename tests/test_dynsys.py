@@ -5,11 +5,8 @@ import pytest
 from crossedprod.dynsys import (
     GOLDEN_CONJUGATE, INF, CircleSet, FiniteSet,
     RotationSystem, ShiftSet, Surd, UnionSet, UnionSystem,
-    all_orbits_in, apply_sigma, cover_representatives,
-    enumerate_invariant_closed_sets, is_free, is_invariant_closed, is_minimal,
-    largest_invariant_subset, orbit_closure, orbit_points, period, pt,
-    set_contains, set_equal, set_intersect, set_subset, set_union,
-    turns_eq, whole_space,
+    apply_sigma, is_free, is_invariant_closed, is_minimal,
+    orbit_closure, orbit_points, period, pt, set_equal, turns_eq, whole_space,
 )
 from crossedprod.errors import SystemMismatchError, UnsupportedQueryError
 
@@ -78,8 +75,8 @@ def test_orbit_closure_shift_integer_reaches_everything(shift):
         assert target in hits
     closure = orbit_closure(shift, x)
     assert closure == ShiftSet(frozenset(), True, True)
-    assert set_contains(shift, closure, pt(INF))
-    assert set_contains(shift, closure, pt(-1000))
+    assert shift.contains(closure, pt(INF))
+    assert shift.contains(closure, pt(-1000))
 
 
 def test_orbit_closure_rotation_dense(golden_rotation):
@@ -91,26 +88,26 @@ def test_orbit_closure_is_invariant_closed(cycle3, shift, golden_rotation):
                    (golden_rotation, pt(0.2))):
         S = orbit_closure(sys, x)
         assert is_invariant_closed(sys, S)
-        assert set_equal(sys, largest_invariant_subset(sys, S), S)
+        assert set_equal(sys, sys.largest_invariant_subset(S), S)
 
 
 def test_largest_invariant_subset_examples(swap_fix, shift):
     # 0 <-> 1, 2 fixed; S = {0, 2}: the orbit of 0 leaves S
-    got = largest_invariant_subset(swap_fix, FiniteSet(frozenset({0, 2})))
+    got = swap_fix.largest_invariant_subset(FiniteSet(frozenset({0, 2})))
     assert got == FiniteSet(frozenset({2}))
     # shift: a finite window plus infinity keeps only infinity
     S = ShiftSet(frozenset(range(6)), True)
     # oracle: brute-force orbit check for representable points
     for n in range(6):
         assert any(
-            not set_contains(shift, S, apply_sigma(shift, pt(n), k))
+            not shift.contains(S, apply_sigma(shift, pt(n), k))
             for k in range(-10, 11)
         )
-    assert largest_invariant_subset(shift, S) == ShiftSet(frozenset(), True)
+    assert shift.largest_invariant_subset(S) == ShiftSet(frozenset(), True)
     # whole space is always invariant
     for sys in (swap_fix, shift):
         W = whole_space(sys)
-        assert set_equal(sys, largest_invariant_subset(sys, W), W)
+        assert set_equal(sys, sys.largest_invariant_subset(W), W)
 
 
 def test_largest_invariant_subset_monotone_idempotent(swap_fix):
@@ -118,21 +115,20 @@ def test_largest_invariant_subset_monotone_idempotent(swap_fix):
     sets = [FiniteSet(frozenset(s))
             for r in range(4) for s in itertools.combinations(range(3), r)]
     for S in sets:
-        inv = largest_invariant_subset(swap_fix, S)
-        assert set_subset(swap_fix, inv, S)
-        assert set_equal(swap_fix, largest_invariant_subset(swap_fix, inv), inv)
+        inv = swap_fix.largest_invariant_subset(S)
+        assert swap_fix.subset(inv, S)
+        assert set_equal(swap_fix, swap_fix.largest_invariant_subset(inv), inv)
         for T in sets:
-            if set_subset(swap_fix, S, T):
-                assert set_subset(
-                    swap_fix,
-                    largest_invariant_subset(swap_fix, S),
-                    largest_invariant_subset(swap_fix, T),
+            if swap_fix.subset(S, T):
+                assert swap_fix.subset(
+                    swap_fix.largest_invariant_subset(S),
+                    swap_fix.largest_invariant_subset(T),
                 )
 
 
 def test_irrational_rotation_finite_sets_have_no_invariant_part(golden_rotation):
     S = CircleSet(False, (0.1, 0.25))
-    assert largest_invariant_subset(golden_rotation, S) == CircleSet(False, ())
+    assert golden_rotation.largest_invariant_subset(S) == CircleSet(False, ())
     assert not is_invariant_closed(golden_rotation, S)
 
 
@@ -163,13 +159,13 @@ def test_union_delegates_componentwise(shift_union_cycle3):
 def test_set_algebra_shift(shift):
     fin = ShiftSet(frozenset({1, 2}))
     cof = ShiftSet(frozenset({2, 3}), True, True)
-    u = set_union(shift, fin, cof)
+    u = shift.union(fin, cof)
     assert u == ShiftSet(frozenset({3}), True, True)
-    i = set_intersect(shift, fin, cof)
+    i = shift.intersect(fin, cof)
     assert i == ShiftSet(frozenset({1}))
-    assert set_subset(shift, i, fin)
-    assert set_subset(shift, cof, whole_space(shift))
-    assert not set_subset(shift, cof, fin)
+    assert shift.subset(i, fin)
+    assert shift.subset(cof, whole_space(shift))
+    assert not shift.subset(cof, fin)
 
 
 def test_shift_infinite_sets_contain_infinity():
@@ -179,21 +175,21 @@ def test_shift_infinite_sets_contain_infinity():
 
 
 def test_enumerate_invariant_sets(perm23, shift, golden_rotation, rational_rotation):
-    sets = enumerate_invariant_closed_sets(perm23)
+    sets = perm23.invariant_closed_sets()
     assert len(sets) == 4  # two orbits -> 2^2 unions
-    assert len(enumerate_invariant_closed_sets(shift)) == 3
-    assert len(enumerate_invariant_closed_sets(golden_rotation)) == 2
-    assert enumerate_invariant_closed_sets(rational_rotation) is None
+    assert len(shift.invariant_closed_sets()) == 3
+    assert len(golden_rotation.invariant_closed_sets()) == 2
+    assert rational_rotation.invariant_closed_sets() is None
     U = UnionSystem((perm23, shift))
-    assert len(enumerate_invariant_closed_sets(U)) == 12
+    assert len(U.invariant_closed_sets()) == 12
 
 
 def test_cover_representatives(perm23, shift):
-    reps = cover_representatives(perm23, whole_space(perm23))
+    reps = perm23.cover_representatives(whole_space(perm23))
     assert {r.coord for r in reps} == {0, 2}
-    assert [r.coord for r in cover_representatives(shift, whole_space(shift))] == [0]
-    assert [r.coord for r in cover_representatives(shift, ShiftSet(frozenset(), True))] == [INF]
-    orbits = all_orbits_in(shift, whole_space(shift))
+    assert [r.coord for r in shift.cover_representatives(whole_space(shift))] == [0]
+    assert [r.coord for r in shift.cover_representatives(ShiftSet(frozenset(), True))] == [INF]
+    orbits = shift.all_orbits_in(whole_space(shift))
     assert {repr(r.coord) for r in orbits} == {"0", "inf"}
 
 
@@ -225,7 +221,7 @@ def test_rational_rotation_orbits(rational_rotation):
     assert [p.coord for p in orb] == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
     S = orbit_closure(rational_rotation, pt(Fraction(0)))
     assert is_invariant_closed(rational_rotation, S)
-    reps = all_orbits_in(rational_rotation, S)
+    reps = rational_rotation.all_orbits_in(S)
     assert len(reps) == 1
     with pytest.raises(UnsupportedQueryError):
-        all_orbits_in(rational_rotation, whole_space(rational_rotation))
+        rational_rotation.all_orbits_in(whole_space(rational_rotation))

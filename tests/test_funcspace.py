@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 from crossedprod import scalars as sc
-from crossedprod.algebra import element
+from crossedprod.algebra import element, unit
 from crossedprod.dynsys import (
-    FiniteSet, ShiftSet, pt, INF,
-    set_subset, set_union, turns_eq,
+    FiniteSet, ShiftSet, pt, INF, turns_eq,
 )
 from crossedprod.errors import ModeMismatchError, SystemMismatchError
 from crossedprod.funcspace import (
     cx_basis, f_add, f_algnorm, f_compose_sigma, f_conj, f_eval,
     f_mul, f_supnorm_bounds, f_zero_set,
-    finite_func, func_close, point_indicator, separating_func,
+    finite_func, func_close, one_func, point_indicator, separating_func,
     shift_func, trig_poly, union_func, vanishes_on,
 )
+from crossedprod.hullkernel import (
+    decompose_as_intersection, hull_kernel_compose, kernel_member, kernel_project,
+)
+from crossedprod.reps_ideals import kernel_ideal, restrict_system
 from crossedprod.sampling import random_func
 
 
@@ -146,10 +149,10 @@ def test_zero_set_of_product_contains_union(swap_fix, rng):
         f = random_func(swap_fix, rng, exact=True)
         g = random_func(swap_fix, rng, exact=True)
         zs = f_zero_set(f_mul(f, g))
-        zu = set_union(swap_fix, f_zero_set(f), f_zero_set(g))
-        assert set_subset(swap_fix, zu, zs)
+        zu = swap_fix.union(f_zero_set(f), f_zero_set(g))
+        assert swap_fix.subset(zu, zs)
         # exact rational scalars have no zero divisors pointwise: equality
-        assert set_subset(swap_fix, zs, zu)
+        assert swap_fix.subset(zs, zu)
 
 
 def test_shift_zero_set_forms(shift):
@@ -207,6 +210,20 @@ def test_boundary_validation(cycle3, shift, shift_union_cycle3):
     assert not on_cycle3.exact
     assert union_func(shift_union_cycle3,
                       (shift_func(shift, sc.qc(1)), finite_func(cycle3, (sc.qc(1),) * 3))).exact
+    # public entry points check the sets they are handed: one of another
+    # model, and one naming a point the system does not have
+    a = unit(cycle3)
+    for bad in (ShiftSet(frozenset(), True, False), FiniteSet(frozenset({7}))):
+        for call in (lambda: kernel_project(cycle3, bad, a),
+                     lambda: vanishes_on(one_func(cycle3), bad),
+                     lambda: separating_func(cycle3, bad, pt(0)),
+                     lambda: kernel_ideal(cycle3, bad),
+                     lambda: decompose_as_intersection(cycle3, bad),
+                     lambda: restrict_system(cycle3, bad),
+                     lambda: kernel_member(cycle3, bad, a),
+                     lambda: hull_kernel_compose(cycle3, bad)):
+            with pytest.raises(SystemMismatchError):
+                call()
 
 
 def test_kernel_results_in_normal_form(shift, golden_rotation, shift_union_cycle3, rng):

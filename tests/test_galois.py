@@ -2,7 +2,7 @@ import itertools
 
 
 from crossedprod.dynsys import (
-    FiniteSet, enumerate_invariant_closed_sets, pt, whole_space,
+    FiniteSet, pt, whole_space,
 )
 from crossedprod.funcspace import f_zero_set, finite_func, point_indicator
 from crossedprod.galois import (
@@ -49,7 +49,7 @@ def test_hk_pair_laws(shift_union_cycle3, rng):
     U = shift_union_cycle3
     pair = hull_kernel_pair(U)
     handles = canonical_handles(U, lam_values=(1 + 0j, 1j))
-    sets = enumerate_invariant_closed_sets(U)
+    sets = U.invariant_closed_sets()
     assert check_assumption(pair, handles, sets).ok
     assert check_three_maps(pair, handles, sets).ok
     assert check_fixed_point_laws(pair, handles, sets).ok
@@ -59,7 +59,7 @@ def test_hk_min_max_exhaustive_fixed_points(perm23, rng):
     # on a finite system the fixed points are exactly the kernels of the
     # finitely many invariant closed sets
     pair = hull_kernel_pair(perm23)
-    fixed = [pair.beta(S) for S in enumerate_invariant_closed_sets(perm23)]
+    fixed = [pair.beta(S) for S in perm23.invariant_closed_sets()]
     for I in canonical_handles(perm23, lam_values=(1j,)):
         assert check_min_max(pair, I, fixed).ok
 
@@ -98,7 +98,7 @@ def test_symmetry_of_orientations(cycle3, rng):
     from crossedprod.galois import GaloisPair
     pair = hull_kernel_pair(cycle3)
     handles = canonical_handles(cycle3, lam_values=(1j,))
-    sets = enumerate_invariant_closed_sets(cycle3)
+    sets = cycle3.invariant_closed_sets()
     swapped = GaloisPair("HK-swapped", alpha=pair.beta, beta=pair.alpha,
                          leq_a=pair.leq_b, leq_b=pair.leq_a)
     assert check_assumption(swapped, sets, handles).ok

@@ -6,9 +6,9 @@ from crossedprod.algebra import (
 )
 from crossedprod.dynsys import (
     INF, FiniteSet, ShiftSet,
-    enumerate_invariant_closed_sets, is_invariant_closed,
+    is_invariant_closed,
     pt, set_equal,
-    set_intersect, set_subset, whole_space, empty_set,
+    whole_space, empty_set,
 )
 from crossedprod.errors import UnsupportedQueryError
 from crossedprod.funcspace import (
@@ -16,7 +16,7 @@ from crossedprod.funcspace import (
 )
 from crossedprod.hullkernel import (
     decompose_as_intersection, hull, hull_kernel_compose, kernel_hull_compose,
-    kernel_of_invariant_set, kernel_project,
+    kernel_project,
     minimality_dichotomy,
 )
 from crossedprod.reps_ideals import (
@@ -56,7 +56,7 @@ def hull_oracle_generated(system, gens, powers=range(-2, 3)):
                         v = alg_mul(from_func(fv), delta_power(system, j, exact))
                         prod = alg_mul(alg_mul(u, g), v)
                         for f in prod.coeffs.values():
-                            acc = set_intersect(system, acc, f_zero_set(f))
+                            acc = system.intersect(acc, f_zero_set(f))
     return acc
 
 
@@ -95,10 +95,9 @@ def test_kernel_extremes(cycle3, rng):
 
 
 def test_kernel_of_union_is_intersection(perm23, rng):
-    from crossedprod.dynsys import set_union
     S1 = FiniteSet(frozenset({0, 1}))
     S2 = FiniteSet(frozenset({2, 3, 4}))
-    K12 = kernel_ideal(perm23, set_union(perm23, S1, S2))
+    K12 = kernel_ideal(perm23, perm23.union(S1, S2))
     K1 = kernel_ideal(perm23, S1)
     K2 = kernel_ideal(perm23, S2)
     for _ in range(40):
@@ -118,9 +117,7 @@ def test_kernel_project_idempotent_and_supported(perm23, shift, rng):
         diff = alg_sub(a, p)
         # the difference lives on S: it vanishes on the complement
         comp = FiniteSet(frozenset(range(perm23.size)) - S.points)
-        assert ideal_member(kernel_ideal(perm23, comp) if
-                            is_invariant_closed(perm23, comp) else
-                            kernel_of_invariant_set(perm23, comp), diff)
+        assert ideal_member(kernel_ideal(perm23, comp), diff)
     # shift: clopen cases work
     a = element(shift, {0: shift_func(shift, 2 + 0j, {0: 5 + 0j, 7: 1j})})
     p1 = kernel_project(shift, ShiftSet(frozenset({0, 1})), a)
@@ -134,7 +131,7 @@ def test_kernel_project_idempotent_and_supported(perm23, shift, rng):
 
 
 def test_hull_kernel_compose_identity_small(perm23):
-    for S in enumerate_invariant_closed_sets(perm23):
+    for S in perm23.invariant_closed_sets():
         assert set_equal(perm23, hull_kernel_compose(perm23, S), S)
 
 
@@ -170,7 +167,7 @@ def test_decompose_examples(perm23, shift):
 
 def test_decompose_membership_equivalence(shift_union_cycle3, rng):
     U = shift_union_cycle3
-    for S in enumerate_invariant_closed_sets(U):
+    for S in U.invariant_closed_sets():
         parts = decompose_as_intersection(U, S)
         K = kernel_ideal(U, S)
         joint = intersection_ideal(U, parts)
@@ -211,7 +208,7 @@ def test_hull_monotone_reversing(shift_union_cycle3):
     I1 = canonical_qx(U, pt(0, 1))
     I2 = canonical_px_lambda(U, pt(0, 1), 1 + 0j)
     # Qx sits inside the torus kernel; hulls reverse
-    assert set_subset(U, hull(I2).subset, hull(I1).subset)
+    assert U.subset(hull(I2).subset, hull(I1).subset)
 
 
 def test_hull_of_trivial_ideal_is_whole(cycle3):

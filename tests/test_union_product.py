@@ -13,11 +13,8 @@ import pytest
 
 from crossedprod.dynsys import (
     INF, CircleSet, FiniteSet, Point, ShiftSet, UnionSet, UnionSystem,
-    all_orbits_in, apply_sigma, cover_representatives, empty_set,
-    enumerate_invariant_closed_sets, enumerate_points, in_component, is_free,
-    is_invariant_closed, is_minimal, largest_invariant_subset, orbit_closure, period, pt,
-    set_contains, set_intersect, set_subset, set_union, some_periodic_point,
-    whole_space,
+    apply_sigma, empty_set, in_component, is_free, is_invariant_closed,
+    is_minimal, orbit_closure, period, pt, whole_space,
 )
 from crossedprod.errors import CrossedProdError
 from crossedprod.funcspace import (
@@ -50,7 +47,7 @@ def sample_sets(system, funcs):
     sets = [empty_set(system), whole_space(system)]
     sets += [f_zero_set(f) for f in funcs]
     sets += [orbit_closure(system, x) for x in sample_points(system)]
-    sets += enumerate_invariant_closed_sets(system) or []
+    sets += system.invariant_closed_sets() or []
     if type(system).__name__ == "ShiftSystem":
         sets += [ShiftSet(frozenset({1, 2})), ShiftSet(frozenset({-1}), True),
                  ShiftSet(frozenset({3}), True, True)]
@@ -64,15 +61,22 @@ def sample_funcs(system, rng):
     return funcs
 
 
+def method(name):
+    """The system method of that name, called as op(system, *args)."""
+    return lambda system, *args: getattr(system, name)(*args)
+
+
 # The model questions, grouped by the arguments they take besides the system.
 SYSTEM_OPS = [
-    empty_set, whole_space, is_free, is_minimal, some_periodic_point, enumerate_invariant_closed_sets,
-    enumerate_points, lambda s: s.orbit_reps(), lambda s: cx_basis(s, (0, 1), 2),
+    empty_set, whole_space, is_free, is_minimal, method("some_periodic_point"),
+    method("invariant_closed_sets"), method("points"), method("orbit_reps"),
+    lambda s: cx_basis(s, (0, 1), 2),
 ]
 POINT_OPS = [lambda s, x: apply_sigma(s, x, -2), period, orbit_closure, point_indicator]
-SET_OPS = [largest_invariant_subset, is_invariant_closed, cover_representatives, all_orbits_in]
-SET_PAIR_OPS = [set_union, set_intersect, set_subset]
-SET_POINT_OPS = [set_contains, separating_func]
+SET_OPS = [method("largest_invariant_subset"), is_invariant_closed,
+           method("cover_representatives"), method("all_orbits_in")]
+SET_PAIR_OPS = [method("union"), method("intersect"), method("subset")]
+SET_POINT_OPS = [method("contains"), separating_func]
 FUNC_OPS = [
     f_conj, lambda f: f_compose_sigma(f, 3), lambda f: f_scale(0.5 - 2j, f),
     f_supnorm_bounds, f_algnorm, f_zero_set, f_is_zero,
@@ -175,12 +179,12 @@ def test_two_component_union_answers_componentwise(names, request):
         for S, (A, B) in zip(pairs_s, zip(sx, sy)):
             assert vanishes_on(F, S) == (vanishes_on(f, A) and vanishes_on(g, B))
     for S, (A, B) in zip(pairs_s, zip(sx, sy)):
-        assert largest_invariant_subset(U, S) == UnionSet(
-            (largest_invariant_subset(X, A), largest_invariant_subset(Y, B)))
+        assert U.largest_invariant_subset(S) == UnionSet(
+            (X.largest_invariant_subset(A), Y.largest_invariant_subset(B)))
         for T, (C, D) in zip(pairs_s, zip(sx, sy)):
-            assert set_union(U, S, T) == UnionSet((set_union(X, A, C), set_union(Y, B, D)))
-            assert set_subset(U, S, T) == (set_subset(X, A, C) and set_subset(Y, B, D))
-        for op in (cover_representatives, all_orbits_in):
+            assert U.union(S, T) == UnionSet((X.union(A, C), Y.union(B, D)))
+            assert U.subset(S, T) == (X.subset(A, C) and Y.subset(B, D))
+        for op in (method("cover_representatives"), method("all_orbits_in")):
             assert_concatenated(U, answer(op, U, S), [answer(op, X, A), answer(op, Y, B)])
 
     # points: a point answers from the component its path names
