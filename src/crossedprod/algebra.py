@@ -89,6 +89,8 @@ def zero_element(system) -> Element:
 def _check_pair(a: Element, b: Element) -> None:
     if a.system != b.system:
         raise SystemMismatchError("elements live on different systems")
+    if a.coeffs and b.coeffs and a.exact != b.exact:  # the zero element has no mode
+        raise ModeMismatchError("exact and floating elements mixed")
 
 
 def alg_add(a: Element, b: Element) -> Element:

@@ -101,7 +101,7 @@ def suite_reps_kernel(system, exact: bool, seed: int, tol: float,
     rng = random.Random(seed)
     failures = []
     checked = 0
-    handles = [h for h in canonical_handles(system) if isinstance(h, PxLambdaIdeal)]
+    handles = [h for h in canonical_handles(system, exact=exact) if isinstance(h, PxLambdaIdeal)]
     if not handles:
         return _rep("reps.kernel", 0, [])
     for _ in range(rounds):
@@ -138,7 +138,7 @@ def suite_inclusion_table(system, exact: bool, seed: int, tol: float,
     rng = random.Random(seed)
     failures = []
     checked = 0
-    handles = canonical_handles(system)
+    handles = canonical_handles(system, exact=exact)
     for I in handles:
         for J in handles:
             predicted = ideal_inclusion(I, J)

@@ -269,23 +269,6 @@ def rotation_phase(system: RotationSystem, m: int) -> complex:
     return cmath.exp(2j * math.pi * float(system.theta_times_mod1(m)))
 
 
-def unit_circle_roots(coeffs: dict, tol: float) -> list[float]:
-    """Turns of the unit-circle roots of sum_k c_k z^k."""
-    import numpy as np  # deferred: only root finding needs it, and it is costly to load
-
-    lo = min(coeffs)
-    hi = max(coeffs)
-    poly = [complex(coeffs.get(k, 0j)) for k in range(hi, lo - 1, -1)]
-    roots = np.roots(poly) if len(poly) > 1 else []
-    turns = []
-    for r in roots:
-        if abs(abs(r) - 1.0) <= max(tol, 1e-7):
-            t = (cmath.phase(complex(r)) / (2 * math.pi)) % 1.0
-            if not any(turns_eq(t, u) for u in turns):
-                turns.append(t)
-    return sorted(turns)
-
-
 # ---------------------------------------------------------------------------
 # Systems
 
@@ -932,7 +915,8 @@ class RotationSystem(_Leaf):
     def zero_set(self, f: Func, tol: float):
         if not f.data:
             return CircleSet(True)
-        return CircleSet(False, tuple(unit_circle_roots(f.data, tol)))
+        return CircleSet(False, tuple((cmath.phase(r) / (2 * math.pi)) % 1.0
+                                      for r in sc.unit_circle_roots(f.data, tol)))
 
     def vanishes_on(self, f: Func, S, tol: float) -> bool:
         if S.whole:

@@ -16,12 +16,10 @@ from __future__ import annotations
 from . import scalars as sc
 from .dynsys import (
     FiniteSystem, Func as Func, Point, RotationSystem, ShiftSystem, UnionSystem,
-    rotation_phase as rotation_phase,
-    unit_circle_roots as unit_circle_roots, validate_point,
+    rotation_phase as rotation_phase, validate_point,
 )
 from .errors import SystemMismatchError
-
-DEFAULT_TOL = 1e-9
+from .scalars import DEFAULT_TOL as DEFAULT_TOL, unit_circle_roots as unit_circle_roots
 
 
 # ---------------------------------------------------------------------------

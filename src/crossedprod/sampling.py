@@ -138,9 +138,12 @@ def random_member(I: IdealHandle, rng: random.Random, radius: int = 3,
     raise UnsupportedQueryError("no member generator for this handle")
 
 
-def canonical_handles(system, lam_values=(1 + 0j, -1 + 0j, 1j)) -> list[IdealHandle]:
+def canonical_handles(system, lam_values=(1 + 0j, -1 + 0j, 1j),
+                      exact: bool = False) -> list[IdealHandle]:
     """All canonical handles over orbit representatives, with the given
-    torus parameters for the periodic families."""
+    torus parameters for the periodic families, in the given numeric mode."""
+    if exact:
+        lam_values = [sc.qc(lam.real, lam.imag) for lam in map(complex, lam_values)]
     out: list[IdealHandle] = []
     for x in system.orbit_reps():
         if is_periodic(system, x):

@@ -207,3 +207,96 @@ def rational_circle_point(t) -> QComplex:
     t = Fraction(t)
     p, q = t.numerator, t.denominator
     return _reduced(q * q - p * p, 2 * p * q, q * q + p * p)
+
+
+# ---------------------------------------------------------------------------
+# Float polynomials (ascending coefficients) and their unit-circle roots
+
+DEFAULT_TOL = 1e-9
+ROOT_MATCH_TOL = 1e-6
+
+
+def unit_circle_roots(coeffs, tol: float) -> list[complex]:
+    """The distinct roots on the unit circle of sum_k c_k z^k, by phase.
+
+    coeffs is an ascending sequence or a Laurent dict {k: c_k}.  Roots are
+    those of the squarefree part p / gcd(p, p'), by the tolerance Euclid of
+    poly_gcd, so a repeated root is found once (and simple roots closer
+    than about sqrt(tol) merge).  Those within max(tol, 1e-7) of the circle
+    are kept, projected onto it, and merged when closer than ROOT_MATCH_TOL.
+    """
+    if isinstance(coeffs, dict):
+        coeffs = [coeffs.get(k, 0) for k in range(min(coeffs), max(coeffs) + 1)]
+    p = _poly_trim([complex(c) for c in coeffs], tol)
+    if len(p) <= 1:
+        return []
+    g = _euclid(p, [k * c for k, c in enumerate(p)][1:], tol)
+    if len(g) > 1:
+        p = _poly_divmod(p, g, tol)[0]
+    import numpy as np  # deferred: only root finding needs it, and it is costly to load
+
+    out: list[complex] = []
+    for r in np.roots(p[::-1]).tolist():
+        if abs(abs(r) - 1.0) <= max(tol, 1e-7):
+            r /= abs(r)
+            if all(abs(r - u) > ROOT_MATCH_TOL for u in out):
+                out.append(r)
+    return sorted(out, key=lambda z: cmath.phase(z) % (2 * math.pi))
+
+
+def _poly_trim(p: list[complex], tol: float, scale: float | None = None) -> list[complex]:
+    """p with coefficients at most tol * scale zeroed and trailing zeros
+    dropped; scale defaults to p's own largest coefficient."""
+    if scale is None:
+        scale = max(map(abs, p), default=0.0)
+    if scale == 0.0:
+        return []
+    q = [c if abs(c) > tol * scale else 0j for c in p]
+    while q and q[-1] == 0j:
+        q.pop()
+    return q
+
+
+def _poly_divmod(a: list[complex], b: list[complex], tol: float):
+    """Quotient and remainder of a by b."""
+    # Trim against the operands' scale: a remainder at rounding level
+    # relative to a and b is zero, however large it is relative to itself.
+    scale = max(map(abs, (*a, *b)))
+    a = _poly_trim(a, tol, scale)
+    db, lead, small = len(b) - 1, b[-1], tol * scale
+    quot = [0j] * max(len(a) - db, 0)
+    while len(a) - 1 >= db:
+        shift = len(a) - 1 - db
+        quot[shift] = q = a.pop() / lead
+        for i in range(db):  # only these entries change, so only they are trimmed
+            c = a[shift + i] - q * b[i]
+            a[shift + i] = c if abs(c) > small else 0j
+        while a and a[-1] == 0j:
+            a.pop()
+    return quot, a
+
+
+def poly_gcd(polys, tol: float = DEFAULT_TOL):
+    """Monic gcd (ascending coefficients) of float polynomials.
+
+    Returns None when every input is the zero polynomial, and a constant
+    [1] when the inputs are coprime.  Exact to rounding on desk-scale
+    degrees; coefficients below tol (relative) are treated as zero.
+    """
+    g: list[complex] | None = None
+    for p in polys:
+        p = _poly_trim([complex(c) for c in p], tol)
+        if not p:
+            continue
+        g = p if g is None else _euclid(g, p, tol)
+        if len(g) == 1:
+            return [1 + 0j]
+    if g is None:
+        return None
+    return [c / g[-1] for c in g]
+
+
+def _euclid(a, b, tol):
+    while b:
+        a, b = b, _poly_divmod(a, b, tol)[1]
+    return a

@@ -21,8 +21,7 @@ from .funcspace import (
     DEFAULT_TOL, Func, cx_basis, f_add, f_eval, f_scale, vanishes_on,
     zero_func,
 )
-
-ROOT_MATCH_TOL = 1e-6
+from .scalars import ROOT_MATCH_TOL, poly_gcd, unit_circle_roots
 
 
 # ---------------------------------------------------------------------------
@@ -78,33 +77,13 @@ class TorusSubset:
         return "t[" + "; ".join(repr(e) for e in self.entries) + "]"
 
 
-def unit_roots_of_poly(coeffs, tol: float = DEFAULT_TOL) -> list[complex]:
-    """Unit-circle roots of sum_i coeffs[i] mu^i."""
-    import numpy as np  # deferred: only root finding needs it, and it is costly to load
-
-    cs = [complex(c) for c in coeffs]
-    while cs and abs(cs[-1]) <= tol:
-        cs.pop()
-    if len(cs) <= 1:
-        return []
-    roots = np.roots(cs[::-1])
-    out: list[complex] = []
-    for r in roots:
-        r = complex(r)
-        if abs(abs(r) - 1.0) <= max(math.sqrt(tol), 1e-6):
-            r = r / abs(r)
-            if not any(abs(r - u) <= ROOT_MATCH_TOL for u in out):
-                out.append(r)
-    return sorted(out, key=lambda z: cmath.phase(z) % (2 * math.pi))
-
-
 def lamset_roots(ls) -> list[complex] | None:
     """Explicit root list, or None for the full circle."""
     if isinstance(ls, FullCircle):
         return None
     if isinstance(ls, FiniteRoots):
         return [complex(r) for r in ls.roots]
-    return unit_roots_of_poly(ls.coeffs, ls.tol)
+    return unit_circle_roots(ls.coeffs, ls.tol)
 
 
 def lamset_is_empty(ls) -> bool:
@@ -138,65 +117,6 @@ def pth_roots(lam, p: int) -> list[complex]:
     lam = complex(lam)
     base_angle = cmath.phase(lam)
     return [cmath.exp(1j * (base_angle + 2 * math.pi * k) / p) for k in range(p)]
-
-
-# ---------------------------------------------------------------------------
-# Float polynomial gcd
-
-
-def _poly_trim(p: list[complex], tol: float, scale: float | None = None) -> list[complex]:
-    """p with coefficients at most tol * scale zeroed and trailing zeros
-    dropped; scale defaults to p's own largest coefficient."""
-    if scale is None:
-        scale = max((abs(c) for c in p), default=0.0)
-    if scale == 0.0:
-        return []
-    q = [c if abs(c) > tol * scale else 0j for c in p]
-    while q and q[-1] == 0j:
-        q.pop()
-    return q
-
-
-def _poly_mod(a: list[complex], b: list[complex], tol: float) -> list[complex]:
-    # Trim against the operands' scale: a remainder at rounding level
-    # relative to a and b is zero, however large it is relative to itself.
-    scale = max(abs(c) for c in (*a, *b))
-    a = _poly_trim(a, tol, scale)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db:
-        q = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        a.pop()
-        a = _poly_trim(a, tol, scale)
-    return a
-
-
-def poly_gcd(polys, tol: float = DEFAULT_TOL):
-    """Monic gcd (ascending coefficients) of float polynomials.
-
-    Returns None when every input is the zero polynomial, and a constant
-    [1] when the inputs are coprime.  Exact to rounding on desk-scale
-    degrees; coefficients below tol (relative) are treated as zero.
-    """
-    g: list[complex] | None = None
-    for p in polys:
-        p = _poly_trim([complex(c) for c in p], tol)
-        if not p:
-            continue
-        g = p if g is None else _euclid(g, p, tol)
-        if len(g) == 1:
-            return [1 + 0j]
-    if g is None:
-        return None
-    return [c / g[-1] for c in g]
-
-
-def _euclid(a, b, tol):
-    while b:
-        a, b = b, _poly_mod(a, b, tol)
-    return a
 
 
 # ---------------------------------------------------------------------------

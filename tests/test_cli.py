@@ -62,6 +62,14 @@ def test_exit_codes():
     assert code == 0
 
 
+@pytest.mark.parametrize("suite", ["reps.kernel", "inclusion.table"])
+def test_check_suites_run_in_exact_mode(suite, capsys):
+    # the suites draw their torus parameters in the config's numeric mode
+    code, out = invoke(["--config", str(DATA / "cycle3_exact.cfg"), "check", "--suite", suite])
+    assert code in range(5)
+    assert "Traceback" not in out + capsys.readouterr().err
+
+
 def test_tolerance_env_override(monkeypatch):
     # tolerances only act in float mode; exact mode compares exactly
     cfg = str(DATA / "swapfix.cfg")

@@ -1,8 +1,10 @@
-"""Each ideal handle answers for itself, and no type is a placeholder.
+"""Each ideal handle answers for itself, no type is a placeholder, and
+there is one unit-circle root finder.
 
-Two guards over the library source, read with ``ast``: the ideal modules
-never ask a handle for its class (each kind answers through its methods),
-and no module binds a type name to ``object`` in place of a real class.
+Guards over the library source, read with ``ast``: the ideal modules never
+ask a handle for its class (each kind answers through its methods), no
+module binds a type name to ``object`` in place of a real class, and numpy
+is imported only inside functions, with one ``roots`` call in the library.
 """
 
 import ast
@@ -51,3 +53,47 @@ def test_ideal_modules_do_not_branch_on_the_handle_class():
 def test_no_placeholder_type_aliases():
     found = {path.name: object_placeholders(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert not any(found.values()), f"Name = object placeholders: {found}"
+
+
+def numpy_sites(source: str) -> tuple[list[int], list[int]]:
+    """Lines importing numpy outside a function body, and lines calling
+    ``roots`` on a numpy module or on ``roots`` imported from numpy."""
+    tree = ast.parse(source)
+    in_functions = {id(n) for f in ast.walk(tree)
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for n in ast.walk(f)}
+    outside, modules, finders = [], set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hits = [a for a in node.names if a.name.split(".")[0] == "numpy"]
+            modules.update(a.asname or a.name.split(".")[0] for a in hits)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            hits = node.names
+            finders.update(a.asname or a.name for a in hits if a.name == "roots")
+        else:
+            continue
+        if hits and id(node) not in in_functions:
+            outside.append(node.lineno)
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "roots"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+        or isinstance(node.func, ast.Name) and node.func.id in finders)]
+    return outside, calls
+
+
+def test_numpy_guard_finds_what_it_looks_for():
+    src = ("import numpy as np\n"
+           "def f(p):\n    import numpy\n    from numpy import roots as r\n"
+           "    return np.roots(p), numpy.roots(p), r(p), g.roots(p)\n"
+           "if p:\n    import numpy.linalg\n")
+    assert numpy_sites(src) == ([1, 7], [5, 5, 5])
+
+
+def test_one_root_finder_and_numpy_off_the_import_path():
+    # a second finder would bring back a second band and dedupe rule, and a
+    # module-level import would load numpy on every cold start
+    sites = {path.name: numpy_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    outside = {name: t for name, (t, _) in sites.items() if t}
+    calls = {name: c for name, (_, c) in sites.items() if c}
+    assert not outside, f"numpy imports outside functions: {outside}"
+    assert sum(len(c) for c in calls.values()) == 1, f"numpy roots calls: {calls}"

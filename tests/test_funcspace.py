@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossedprod import scalars as sc
-from crossedprod.algebra import element, unit
+from crossedprod.algebra import alg_mul, alg_sub, element, unit
 from crossedprod.dynsys import (
     FiniteSet, ShiftSet, pt, INF, turns_eq,
 )
@@ -182,6 +182,11 @@ def test_mode_mixing_rejected(cycle3):
                   .RotationSystem(Fraction(1, 3), irrational=False), {0: sc.qc(1)})
     with pytest.raises(ModeMismatchError):
         element(cycle3, {0: g, 1: f})
+    with pytest.raises(ModeMismatchError):
+        alg_mul(element(cycle3, {0: f}), element(cycle3, {0: g}))
+    # an exact computation that cancels to zero still meets exact elements
+    ef = element(cycle3, {0: f})
+    assert alg_mul(alg_sub(ef, ef), ef).coeffs == {}
 
 
 def test_boundary_validation(cycle3, shift, shift_union_cycle3):

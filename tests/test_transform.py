@@ -18,11 +18,12 @@ from crossedprod.reps_ideals import (
     rep_is_zero, rep_periodic,
 )
 from crossedprod.sampling import random_element, random_member
+from crossedprod.scalars import unit_circle_roots
 from crossedprod.transform import (
     FiniteRoots, FullCircle, TorusEntry, TorusSubset,
     adjoint_zeros_equal, ideal_leq, ideal_member_via_S, ideal_of_torus_set,
     lamset_roots, poly_gcd, tilde_member, torus_contains,
-    torus_is_empty, unit_roots_of_poly, zeros_nonempty_report, zeros_of_ideal,
+    torus_is_empty, zeros_nonempty_report, zeros_of_ideal,
     zi_closure,
 )
 
@@ -46,12 +47,12 @@ def test_poly_gcd_basics():
 
 
 def test_unit_roots_of_poly():
-    roots = unit_roots_of_poly([-1, 0, 0, 1])  # mu^3 = 1
+    roots = unit_circle_roots([-1, 0, 0, 1], 1e-9)  # mu^3 = 1
     assert len(roots) == 3
     for r in roots:
         assert abs(r ** 3 - 1) < 1e-8
     # roots off the circle are filtered
-    assert unit_roots_of_poly([-4, 0, 1]) == []  # mu = +-2
+    assert unit_circle_roots([-4, 0, 1], 1e-9) == []  # mu = +-2
 
 
 def test_zeros_of_qx_full_circle(cycle3):
