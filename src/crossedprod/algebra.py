@@ -8,34 +8,34 @@ elements, so no truncation is ever performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import scalars as sc
 from .dynsys import Point, validate_point
 from .errors import ModeMismatchError, SystemMismatchError
 from .funcspace import Func, f_is_zero, f_sub, one_func, zero_func
+from .records import record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Element:
     """Finitely supported series sum_n a_n delta^n.  Construction checks
     every coefficient; the algebra operations use the trusted `_element`."""
 
+    __slots__ = ("system", "coeffs", "exact")  # exact: a slot, not a field
     system: object
     coeffs: dict
-    exact: bool = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, system, coeffs):
         clean = {}
-        for n, f in self.coeffs.items():
-            if f.system != self.system:
+        for n, f in coeffs.items():
+            if f.system != system:
                 raise SystemMismatchError("coefficient on the wrong system")
             if not f_is_zero(f):
                 clean[int(n)] = f
         if len({f.exact for f in clean.values()}) > 1:
             raise ModeMismatchError("coefficients mix numeric modes")
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "exact", any(f.exact for f in clean.values()))
+        _set_system(self, system)
+        _set_coeffs(self, clean)
+        _set_exact(self, any(f.exact for f in clean.values()))
 
     def coeff(self, n: int) -> Func:
         got = self.coeffs.get(n)

@@ -13,8 +13,6 @@ Exit codes: 0 ok, 1 property failure, 2 usage, 3 parse error,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 
@@ -53,9 +51,13 @@ class _Output:
     def __init__(self, records: bool, operation: str, inputs: dict):
         self.records = records
         self.operation = operation
-        digest_src = json.dumps(inputs, sort_keys=True)
-        self.digest = hashlib.sha256(digest_src.encode()).hexdigest()[:12]
         self.lines: list[str] = []
+        if records:  # only records print the digest; a human-mode call loads neither module
+            import hashlib
+            import json
+            self.dumps = json.dumps
+            digest_src = json.dumps(inputs, sort_keys=True)
+            self.digest = hashlib.sha256(digest_src.encode()).hexdigest()[:12]
 
     def add(self, outcome: str, witnesses: tuple = ()):
         if self.records:
@@ -65,7 +67,7 @@ class _Output:
                 "outcome": outcome,
                 "witnesses": list(witnesses),
             }
-            self.lines.append(json.dumps(rec))
+            self.lines.append(self.dumps(rec))
         else:
             self.lines.append(outcome)
             for w in witnesses:

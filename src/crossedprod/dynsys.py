@@ -15,12 +15,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import scalars as sc
 from .errors import ModeMismatchError, SystemMismatchError, UnsupportedQueryError
+from .records import record
 
 TURN_TOL = 1e-9
 
@@ -42,7 +42,7 @@ class _Infinity:
 INF = _Infinity()
 
 
-@dataclass(frozen=True)
+@record
 class Surd:
     """Quadratic surd (p + q*sqrt(r)) / d, used for rotation angles.
 
@@ -88,7 +88,7 @@ GOLDEN_CONJUGATE = Surd(-1, 1, 5, 2)
 # Points
 
 
-@dataclass(frozen=True)
+@record
 class Point:
     """A point of a system: component path plus leaf coordinate.
 
@@ -100,6 +100,10 @@ class Point:
 
     coord: object
     path: tuple[int, ...] = ()
+
+    def __init__(self, coord, path=()):  # written out: the most built record
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "path", path)
 
     def __repr__(self):
         base = repr(self.coord)
@@ -127,7 +131,7 @@ def turns_eq(a, b, tol: float = TURN_TOL) -> bool:
 # Closed sets
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSet:
     points: frozenset
 
@@ -138,7 +142,7 @@ class FiniteSet:
         return not self.points
 
 
-@dataclass(frozen=True)
+@record
 class ShiftSet:
     """Closed subset of the compactified shift.
 
@@ -166,7 +170,7 @@ class ShiftSet:
         return not self.cofinite and not self.ints and not self.has_inf
 
 
-@dataclass(frozen=True)
+@record
 class CircleSet:
     whole: bool
     turns: tuple = ()
@@ -184,7 +188,7 @@ def _fmt_turn(t):
     return str(t) if isinstance(t, Fraction) else repr(float(t))
 
 
-@dataclass(frozen=True)
+@record
 class UnionSet:
     parts: tuple
 
@@ -208,7 +212,7 @@ def _circle_points(turns_iter) -> CircleSet:
 # Functions
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Func:
     """A function in the C(X) model of its system.
 
@@ -223,12 +227,13 @@ class Func:
     trusts its inputs.
     """
 
+    __slots__ = ("system", "data", "exact")  # exact: a slot, not a field
     system: object
     data: object
-    exact: bool = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        data, exact = self.system.normal_form(self.data)
+    def __init__(self, system, data):
+        data, exact = system.normal_form(data)
+        _set_system(self, system)
         _set_data(self, data)
         _set_exact(self, exact)
 
@@ -336,7 +341,7 @@ class _Leaf:
         return set()
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSystem(_Leaf):
     """Permutation dynamics on {0, ..., size-1}."""
 
@@ -509,7 +514,7 @@ class FiniteSystem(_Leaf):
         return None
 
 
-@dataclass(frozen=True)
+@record
 class ShiftSystem(_Leaf):
     """n -> n+1 on the one-point compactification of the integers."""
 
@@ -713,7 +718,7 @@ class ShiftSystem(_Leaf):
         return set(f.data[1])
 
 
-@dataclass(frozen=True)
+@record
 class RotationSystem(_Leaf):
     """Rotation of the circle by ``theta`` turns.
 
@@ -915,8 +920,9 @@ class RotationSystem(_Leaf):
     def zero_set(self, f: Func, tol: float):
         if not f.data:
             return CircleSet(True)
-        return CircleSet(False, tuple((cmath.phase(r) / (2 * math.pi)) % 1.0
-                                      for r in sc.unit_circle_roots(f.data, tol)))
+        turns = ((cmath.phase(r) / (2 * math.pi)) % 1.0 for r in sc.unit_circle_roots(f.data, tol))
+        # a root at 1 with a tiny negative imaginary part gives -tiny % 1.0 == 1.0: turn 0
+        return CircleSet(False, tuple(sorted(t if t < 1.0 else 0.0 for t in turns)))
 
     def vanishes_on(self, f: Func, S, tol: float) -> bool:
         if S.whole:
@@ -971,7 +977,7 @@ class RotationSystem(_Leaf):
         return best
 
 
-@dataclass(frozen=True)
+@record
 class UnionSystem:
     """Disjoint union acting componentwise.
 

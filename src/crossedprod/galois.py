@@ -10,12 +10,11 @@ comparisons, never from structural identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dynsys import orbit_closure
 from .errors import UnsupportedQueryError
 from .funcspace import f_zero_set, point_indicator
 from .hullkernel import hull
+from .records import record
 from .reps_ideals import kernel_ideal
 from .transform import (
     FullCircle, TorusSubset, ideal_leq, ideal_of_torus_set, lamset_roots,
@@ -23,7 +22,7 @@ from .transform import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class GaloisPair:
     """Two universes with comparison oracles and the connecting maps."""
 
@@ -42,7 +41,7 @@ def eq_b(pair: GaloisPair, x, y) -> bool:
     return pair.leq_b(x, y) and pair.leq_b(y, x)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CheckReport:
     name: str
     ok: bool

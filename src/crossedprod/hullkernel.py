@@ -8,12 +8,11 @@ closed forms; generated ideals go through coefficient zero sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Element
 from .dynsys import is_invariant_closed, is_periodic
 from .errors import UnsupportedQueryError
 from .funcspace import DEFAULT_TOL
+from .records import record
 from .reps_ideals import (
     HullResult, IdealHandle, KernelIdeal, canonical_px, canonical_qx,
     ideal_member, kernel_ideal,
@@ -65,7 +64,7 @@ def decompose_as_intersection(system, S) -> list[IdealHandle]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class MinimalityReport:
     minimal: bool
     invariant_closed_set_count: int | None  # None means infinitely many

@@ -34,7 +34,6 @@ lamdesc = full | roots{scalar, ...} | poly{scalar, ...}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalars as sc
@@ -46,6 +45,7 @@ from .dynsys import (
 )
 from .errors import ModeMismatchError, ParseError, UnsupportedQueryError
 from .funcspace import Func, f_compose_sigma, zero_func
+from .records import record
 from .reps_ideals import (
     GeneratedIdeal, IntersectionIdeal, KernelIdeal, PxIdeal, PxLambdaIdeal,
     QxIdeal, canonical_px, canonical_px_lambda, canonical_qx, generated_ideal,
@@ -60,7 +60,7 @@ from .transform import FiniteRoots, FullCircle, PolynomialRoots, TorusEntry, Tor
 _PUNCT = "{}()[]^*+-:,;/"
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "num" | "name" | punct literal | "end"
     text: str
@@ -175,7 +175,7 @@ class _Stream:
 # System configs
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SystemConfig:
     system: object
     mode: str  # "exact" | "float"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import scalars as sc
 from .algebra import Element, alg_adj, demote_to_float, element, from_func
@@ -19,6 +18,7 @@ from .dynsys import (
 )
 from .errors import SystemMismatchError, UnsupportedQueryError
 from .funcspace import DEFAULT_TOL, Func, f_eval, f_scale, one_func
+from .records import record
 from .transform import (
     FiniteRoots, FullCircle, TorusEntry, TorusSubset, generated_zero_set,
     pth_roots, torus_contains,
@@ -29,7 +29,7 @@ from .transform import (
 # Representation matrices
 
 
-@dataclass(frozen=True)
+@record
 class RepMatrix:
     """Square matrix of a represented element.
 
@@ -116,20 +116,20 @@ def rep_aperiodic_window(system, x: Point, W: int, a: Element) -> RepMatrix:
 # Ideal handles
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class HullResult:
     subset: object
     provenance: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class BehaviourReport:
     kind: str  # "well" | "bad" | "plain"
     escape_function: Func | None = None
     escape_element: Element | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class IdealHandle:
     """A closed ideal as a membership oracle plus structural data.  Each kind
     answers ``member``, ``hull`` (the zero set in X), ``zeros`` (the zero set
@@ -165,7 +165,7 @@ class IdealHandle:
         raise UnsupportedQueryError("adjoint comparison takes a generated ideal")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SetKernelIdeal(IdealHandle):
     """The elements whose coefficients all vanish on the invariant closed set
     ``subset``.  Px, Qx and K are such kernels; they differ only in how the
@@ -186,7 +186,7 @@ class SetKernelIdeal(IdealHandle):
         return self.system.subset(self.subset, I.hull(tol).subset)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PxIdeal(SetKernelIdeal):
     """Kernel of the aperiodic-point representation: the set kernel of the
     orbit closure of ``x``."""
@@ -213,7 +213,7 @@ class PxIdeal(SetKernelIdeal):
         return BehaviourReport("plain", escape_function=f, escape_element=a)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PxLambdaIdeal(IdealHandle):
     """Kernel of the periodic-point representation with torus parameter."""
 
@@ -268,7 +268,7 @@ class PxLambdaIdeal(IdealHandle):
         return abs(complex(self.lam) - complex(J.lam)) <= 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class QxIdeal(SetKernelIdeal):
     """Intersection of the periodic-point kernels over all torus parameters:
     the set kernel of the orbit of ``x``."""
@@ -284,7 +284,7 @@ class QxIdeal(SetKernelIdeal):
         return TorusSubset(self.system, (TorusEntry(self.x, FullCircle()),))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class KernelIdeal(SetKernelIdeal):
     """All elements whose coefficients vanish on an invariant closed set."""
 
@@ -300,7 +300,7 @@ class KernelIdeal(SetKernelIdeal):
         ))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class IntersectionIdeal(IdealHandle):
     """The meet of its parts, answering every question from theirs."""
 
@@ -346,7 +346,7 @@ class IntersectionIdeal(IdealHandle):
         return all(p.contains(I, tol) for p in self.parts)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class GeneratedIdeal(IdealHandle):
     """Two-sided closed ideal generated by finitely many elements."""
 
@@ -462,7 +462,7 @@ def ideal_inclusion(I: IdealHandle, J: IdealHandle) -> bool:
 # Separation
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SeparationWitness:
     point: Point
     coeff_index: int
@@ -502,7 +502,7 @@ def separating_check(system, a: Element, tol: float = DEFAULT_TOL):
 # Quotients by well behaved closed ideals
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Restriction:
     """Restriction of a system to an invariant closed subset, with maps for
     points, functions and elements.  Realises the quotient by the kernel

@@ -9,8 +9,6 @@ element generates when the system is free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     Element, alg_add, alg_mul, alg_norm, alg_scale, alg_sub, expectation,
     from_func, zero_element,
@@ -18,6 +16,7 @@ from .algebra import (
 from .dynsys import RotationSystem, is_free, period
 from .errors import UnsupportedQueryError
 from .funcspace import f_algnorm, one_func, trig_poly
+from .records import record
 from .reps_ideals import (
     canonical_px_lambda, escape_element, ideal_member,
 )
@@ -44,7 +43,7 @@ def char_average(a: Element, order: int) -> Element:
     return alg_scale(1.0 / order, acc)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class AveragingReport:
     rounds: tuple  # (order, residual) pairs, round 0 is the input itself
     damping: dict  # coefficient index -> final norm ratio against the input
@@ -81,7 +80,7 @@ def drive_to_E(a: Element, epsilon: float, max_rounds: int = 16) -> AveragingRep
     return AveragingReport(tuple(rounds), damping, final <= epsilon, final)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DichotomyReport:
     free: bool
     witness_point: object | None = None

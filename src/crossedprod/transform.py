@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 from . import scalars as sc
 from .algebra import Element, alg_mul, demote_to_float, from_func
@@ -21,6 +21,7 @@ from .funcspace import (
     DEFAULT_TOL, Func, cx_basis, f_add, f_eval, f_scale, vanishes_on,
     zero_func,
 )
+from .records import record
 from .scalars import ROOT_MATCH_TOL, poly_gcd, unit_circle_roots
 
 
@@ -28,13 +29,13 @@ from .scalars import ROOT_MATCH_TOL, poly_gcd, unit_circle_roots
 # Torus subsets
 
 
-@dataclass(frozen=True)
+@record
 class FullCircle:
     def __repr__(self):
         return "full"
 
 
-@dataclass(frozen=True)
+@record
 class FiniteRoots:
     roots: tuple
 
@@ -42,7 +43,7 @@ class FiniteRoots:
         return "roots{" + ",".join(f"{complex(r):.6g}" for r in self.roots) + "}"
 
 
-@dataclass(frozen=True)
+@record
 class PolynomialRoots:
     """Unit-circle roots of a polynomial, ascending coefficients."""
 
@@ -52,8 +53,12 @@ class PolynomialRoots:
     def __repr__(self):
         return "poly{" + ",".join(f"{complex(c):.6g}" for c in self.coeffs) + "}"
 
+    @cached_property  # found once, on first use: a zero set that prints none loads no numpy
+    def roots(self) -> list[complex]:
+        return unit_circle_roots(self.coeffs, self.tol)
 
-@dataclass(frozen=True, eq=False)
+
+@record(eq=False)
 class TorusEntry:
     """One orbit of the product set: the X part is the orbit closure of the
     point (the orbit itself for a periodic point, so use_closure only marks
@@ -68,7 +73,7 @@ class TorusEntry:
         return f"{self.point!r}{mark}: {self.lamset!r}"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TorusSubset:
     system: object
     entries: tuple
@@ -83,7 +88,7 @@ def lamset_roots(ls) -> list[complex] | None:
         return None
     if isinstance(ls, FiniteRoots):
         return [complex(r) for r in ls.roots]
-    return unit_circle_roots(ls.coeffs, ls.tol)
+    return list(ls.roots)
 
 
 def lamset_is_empty(ls) -> bool:
@@ -276,7 +281,7 @@ def zi_closure(I, tol: float = DEFAULT_TOL):
     return ideal_of_torus_set(zeros_of_ideal(I, tol), tol)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ZerosReport:
     nonempty: bool
     witness: tuple | None  # (Point, mu)

@@ -1,13 +1,20 @@
-"""Each ideal handle answers for itself, no type is a placeholder, and
-there is one unit-circle root finder.
+"""Each ideal handle answers for itself, no type is a placeholder, there
+is one unit-circle root finder, and a cold start generates no code.
 
 Guards over the library source, read with ``ast``: the ideal modules never
 ask a handle for its class (each kind answers through its methods), no
-module binds a type name to ``object`` in place of a real class, and numpy
-is imported only inside functions, with one ``roots`` call in the library.
+module binds a type name to ``object`` in place of a real class, numpy
+is imported only inside functions, with one ``roots`` call in the library,
+and no module imports ``dataclasses`` or calls ``exec``, ``eval`` or
+``compile``.  One fresh interpreter checks what ``import crossedprod.cli``
+loads.
 """
 
 import ast
+import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crossedprod"
@@ -97,3 +104,62 @@ def test_one_root_finder_and_numpy_off_the_import_path():
     calls = {name: c for name, (_, c) in sites.items() if c}
     assert not outside, f"numpy imports outside functions: {outside}"
     assert sum(len(c) for c in calls.values()) == 1, f"numpy roots calls: {calls}"
+
+
+def codegen_sites(source: str) -> list[int]:
+    """Lines importing ``dataclasses`` or calling ``exec``, ``eval`` or
+    ``compile``: each compiles source text at run time."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] == "dataclasses"
+        else:
+            hit = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in ("exec", "eval", "compile"))
+        if hit:
+            sites.append(node.lineno)
+    return sites
+
+
+def test_codegen_guard_finds_what_it_looks_for():
+    src = ("import dataclasses as dc\n"
+           "from dataclasses import field\n"
+           "def f(s):\n    exec(s)\n    return eval(s), compile(s, 'x', 'eval'), re.compile(s)\n"
+           "from .records import record\n")
+    assert codegen_sites(src) == [1, 2, 4, 5, 5]
+
+
+def test_library_generates_no_code():
+    found = {path.name: codegen_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert not any(found.values()), f"dataclasses imports or exec/eval/compile calls: {found}"
+
+
+COLD_START_FREE = {"dataclasses", "inspect", "hashlib", "json", "numpy"}
+COLD_PROBE = ("crossedprod.cli", "json", "inspect")
+
+
+@functools.lru_cache(maxsize=None)
+def modules_added(*imports: str) -> tuple:
+    """For each import in turn, run in one fresh interpreter, the top-level
+    modules it adds to those the interpreter already held."""
+    script = ("import importlib, sys\n"
+              "for name in sys.argv[1:]:\n"
+              "    held = set(sys.modules)\n"
+              "    importlib.import_module(name)\n"
+              "    print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - held})))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", script, *imports], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return tuple(set(line.split()) for line in out.splitlines())
+
+
+def test_cold_start_guard_finds_what_it_looks_for():
+    _, after_json, after_inspect = modules_added(*COLD_PROBE)
+    assert "json" in after_json and "inspect" in after_inspect
+
+
+def test_cold_cli_import_loads_no_heavy_module():
+    added = modules_added(*COLD_PROBE)[0]
+    assert "crossedprod" in added and not added & COLD_START_FREE, sorted(added)

@@ -4,15 +4,17 @@ and the band around the circle, directly and through its two callers
 
 import cmath
 import math
+import random
 
 import pytest
 
 from crossedprod.algebra import element
 from crossedprod.dynsys import pt, turns_eq
 from crossedprod.funcspace import const_func, f_zero_set, trig_poly
-from crossedprod.reps_ideals import generated_ideal
+from crossedprod import transform
+from crossedprod.reps_ideals import canonical_px_lambda, generated_ideal
 from crossedprod.scalars import ROOT_MATCH_TOL, unit_circle_roots
-from crossedprod.transform import lamset_roots, zeros_of_ideal
+from crossedprod.transform import ideal_leq, lamset_roots, zeros_of_ideal
 
 TOL = 1e-9
 POINTS = [1 + 0j, -1 + 0j, 1j, cmath.exp(2j * math.pi * 0.3)]
@@ -86,3 +88,44 @@ def test_roots_are_sorted_by_phase():
     want = [cmath.exp(2j * math.pi * t) for t in (0.1, 0.45, 0.8)]
     roots = unit_circle_roots(poly_from_roots(want[::-1]), TOL)
     assert len(roots) == 3 and all(abs(r - w) < 1e-9 for r, w in zip(roots, want))
+
+
+def assert_turns_normal(turns):
+    assert all(0.0 <= t < 1.0 for t in turns) and list(turns) == sorted(turns)
+
+
+@pytest.mark.parametrize("others", [
+    [0.3717933555623072],
+    [0.38075791704476514, 0.1019744021739154],
+    [0.13876741839890316],
+])
+def test_planted_root_at_one_is_turn_zero(others, golden_rotation):
+    # these roots at 1 come out with a tiny negative imaginary part, whose
+    # turn -tiny % 1.0 rounds to 1.0 and sorted last
+    coeffs = poly_from_roots([1 + 0j] + [cmath.exp(2j * math.pi * t) for t in others])
+    zs = f_zero_set(trig_poly(golden_rotation, dict(enumerate(coeffs))))
+    assert_turns_normal(zs.turns)
+    assert zs.turns[0] == 0.0 and len(zs.turns) == len(others) + 1
+    assert all(min(abs(t - u) for u in zs.turns) < 1e-9 for t in others)
+
+
+def test_turns_stay_in_the_unit_interval(golden_rotation):
+    rng = random.Random(5)
+    for _ in range(200):
+        turns = [0.0] + [rng.random() for _ in range(rng.randint(1, 4))]
+        coeffs = poly_from_roots([cmath.exp(2j * math.pi * t) for t in turns])
+        assert_turns_normal(f_zero_set(trig_poly(golden_rotation, dict(enumerate(coeffs)))).turns)
+
+
+def test_one_kernel_call_per_lambda_set(cycle3, monkeypatch):
+    # Pxl(0, -1) misses the cube roots of 1j: each of its three cube roots
+    # is looked up in the same lambda set, which finds its roots once
+    calls = []
+    kernel = transform.unit_circle_roots
+    monkeypatch.setattr(transform, "unit_circle_roots",
+                        lambda coeffs, tol: calls.append(tuple(coeffs)) or kernel(coeffs, tol))
+    coeffs = poly_from_roots([1j])
+    a = element(cycle3, {3 * l: const_func(cycle3, c) for l, c in enumerate(coeffs)})
+    I = generated_ideal(cycle3, [a])
+    assert not ideal_leq(I, canonical_px_lambda(cycle3, pt(0), -1 + 0j))
+    assert len(calls) == len(set(calls)) == 1
