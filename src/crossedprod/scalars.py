@@ -39,6 +39,9 @@ class QComplex:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):  # pickle and copy rebuild the normal form directly
+        return _reduced, (self._a, self._b, self._d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -233,15 +236,62 @@ def unit_circle_roots(coeffs, tol: float) -> list[complex]:
     g = _euclid(p, [k * c for k, c in enumerate(p)][1:], tol)
     if len(g) > 1:
         p = _poly_divmod(p, g, tol)[0]
-    import numpy as np  # deferred: only root finding needs it, and it is costly to load
-
     out: list[complex] = []
-    for r in np.roots(p[::-1]).tolist():
+    for r in aberth_roots(p)[0]:
         if abs(abs(r) - 1.0) <= max(tol, 1e-7):
             r /= abs(r)
             if all(abs(r - u) > ROOT_MATCH_TOL for u in out):
                 out.append(r)
     return sorted(out, key=lambda z: cmath.phase(z) % (2 * math.pi))
+
+
+ABERTH_SWEEPS = 100
+_ULP = 2.0 ** -52
+
+
+def aberth_roots(p: list[complex]) -> tuple[list[complex], int]:
+    """All roots of the squarefree p (ascending coefficients) and the sweeps
+    taken; fewer than ABERTH_SWEEPS means that every root met the stop.
+
+    Aberth-Ehrlich iteration (Bini, Numer. Algorithms 13, 1996) from fixed
+    angles on the circle of the roots' geometric-mean modulus; a root stops
+    after the step at which |p(z)| is within rounding of sum |c_k| |z|^k.
+    A part within 8 ulp of |z| is set to 0.0, and so is the imaginary part
+    of a real p's root that is its own nearest conjugate.
+    """
+    k = next((i for i, c in enumerate(p) if c), len(p))  # roots at zero
+    terms = [(c, abs(c)) for c in reversed(p[k:])]
+    n = len(terms) - 1
+    if n < 1:
+        return [0j] * k, 0
+    radius = (terms[-1][1] / terms[0][1]) ** (1 / n)
+    z = [cmath.rect(radius, 2 * math.pi * j / n + 0.4) for j in range(n)]
+    active, sweeps = range(n), 0
+    while active and sweeps < ABERTH_SWEEPS:
+        sweeps += 1
+        left = []
+        for i in active:
+            x, ax = z[i], abs(z[i])
+            v = d = rep = 0j
+            s = 0.0
+            for c, m in terms:  # Horner for p, p' and p's rounding scale
+                d = d * x + v
+                v = v * x + c
+                s = s * ax + m
+            if abs(v) > 4 * n * _ULP * s:
+                left.append(i)
+            for j, y in enumerate(z):
+                if j != i:
+                    rep += 1 / (x - y)
+            z[i] = x - v / (d - v * rep)
+        active = left
+    for i, x in enumerate(z):
+        e = 8 * _ULP * abs(x)
+        z[i] = complex(x.real if abs(x.real) > e else 0.0, x.imag if abs(x.imag) > e else 0.0)
+    if all(c.imag == 0 for c, _ in terms):
+        z = [complex(x.real) if min(range(n), key=lambda j: abs(x.conjugate() - z[j])) == i
+             else x for i, x in enumerate(z)]
+    return [0j] * k + z, sweeps
 
 
 def _poly_trim(p: list[complex], tol: float, scale: float | None = None) -> list[complex]:

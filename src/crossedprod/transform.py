@@ -53,7 +53,7 @@ class PolynomialRoots:
     def __repr__(self):
         return "poly{" + ",".join(f"{complex(c):.6g}" for c in self.coeffs) + "}"
 
-    @cached_property  # found once, on first use: a zero set that prints none loads no numpy
+    @cached_property  # found once, on first use: a lambda set never asked finds no roots
     def roots(self) -> list[complex]:
         return unit_circle_roots(self.coeffs, self.tol)
 

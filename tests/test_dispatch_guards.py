@@ -1,13 +1,13 @@
-"""Each ideal handle answers for itself, no type is a placeholder, there
-is one unit-circle root finder, and a cold start generates no code.
+"""Each ideal handle answers for itself, no type is a placeholder, the
+library runs without numpy, and a cold start generates no code.
 
 Guards over the library source, read with ``ast``: the ideal modules never
 ask a handle for its class (each kind answers through its methods), no
-module binds a type name to ``object`` in place of a real class, numpy
-is imported only inside functions, with one ``roots`` call in the library,
-and no module imports ``dataclasses`` or calls ``exec``, ``eval`` or
-``compile``.  One fresh interpreter checks what ``import crossedprod.cli``
-loads.
+module binds a type name to ``object`` in place of a real class, no module
+imports numpy, and no module imports ``dataclasses`` or calls ``exec``,
+``eval`` or ``compile``.  Fresh interpreters check what
+``import crossedprod.cli`` loads, and that a command which finds
+unit-circle roots loads no numpy.
 """
 
 import ast
@@ -62,48 +62,41 @@ def test_no_placeholder_type_aliases():
     assert not any(found.values()), f"Name = object placeholders: {found}"
 
 
-def numpy_sites(source: str) -> tuple[list[int], list[int]]:
-    """Lines importing numpy outside a function body, and lines calling
-    ``roots`` on a numpy module or on ``roots`` imported from numpy."""
-    tree = ast.parse(source)
-    in_functions = {id(n) for f in ast.walk(tree)
-                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    for n in ast.walk(f)}
-    outside, modules, finders = [], set(), set()
-    for node in ast.walk(tree):
+def numpy_sites(source: str) -> list[int]:
+    """Lines importing numpy, anywhere: an import statement or an
+    ``importlib.import_module``/``__import__`` call on a literal name."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            hits = [a for a in node.names if a.name.split(".")[0] == "numpy"]
-            modules.update(a.asname or a.name.split(".")[0] for a in hits)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
-            hits = node.names
-            finders.update(a.asname or a.name for a in hits if a.name == "roots")
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            f = node.func
+            called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+            names = [str(node.args[0].value)] if called in ("import_module", "__import__") else []
         else:
             continue
-        if hits and id(node) not in in_functions:
-            outside.append(node.lineno)
-    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
-        isinstance(node.func, ast.Attribute) and node.func.attr == "roots"
-        and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
-        or isinstance(node.func, ast.Name) and node.func.id in finders)]
-    return outside, calls
+        if any(n.split(".")[0] == "numpy" for n in names):
+            sites.append(node.lineno)
+    return sites
 
 
 def test_numpy_guard_finds_what_it_looks_for():
     src = ("import numpy as np\n"
            "def f(p):\n    import numpy\n    from numpy import roots as r\n"
            "    return np.roots(p), numpy.roots(p), r(p), g.roots(p)\n"
-           "if p:\n    import numpy.linalg\n")
-    assert numpy_sites(src) == ([1, 7], [5, 5, 5])
+           "if p:\n    import numpy.linalg\n"
+           "importlib.import_module('numpy'), __import__('numpy.fft'), import_module('json')\n"
+           "import numbers\nfrom . import numpy_like\n")
+    assert numpy_sites(src) == [1, 3, 4, 7, 8, 8]
 
 
 def test_one_root_finder_and_numpy_off_the_import_path():
-    # a second finder would bring back a second band and dedupe rule, and a
-    # module-level import would load numpy on every cold start
-    sites = {path.name: numpy_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    outside = {name: t for name, (t, _) in sites.items() if t}
-    calls = {name: c for name, (_, c) in sites.items() if c}
-    assert not outside, f"numpy imports outside functions: {outside}"
-    assert sum(len(c) for c in calls.values()) == 1, f"numpy roots calls: {calls}"
+    # the one root kernel runs on its own engine: numpy is a test-only
+    # reference, so no module may import it, even inside a function
+    found = {path.name: numpy_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert not any(found.values()), f"numpy imports: {found}"
 
 
 def codegen_sites(source: str) -> list[int]:
@@ -163,3 +156,37 @@ def test_cold_start_guard_finds_what_it_looks_for():
 def test_cold_cli_import_loads_no_heavy_module():
     added = modules_added(*COLD_PROBE)[0]
     assert "crossedprod" in added and not added & COLD_START_FREE, sorted(added)
+
+
+ROOT_COMMAND = ("--config", str(SRC.parent.parent / "tests" / "data" / "cycle3_exact.cfg"),
+                "zeros", "--ideal", "gen(1 - d^3)")
+
+
+def after_command(argv, preload=()) -> tuple:
+    """In one fresh interpreter that first imports preload, the exit code and
+    output of ``cli.run_command(argv)`` and the top-level modules held then."""
+    script = ("import contextlib, importlib, io, sys\n"
+              f"for name in {list(preload)!r}:\n"
+              "    importlib.import_module(name)\n"
+              "from crossedprod.cli import run_command\n"
+              "out = io.StringIO()\n"
+              "with contextlib.redirect_stdout(out):\n"
+              f"    code = run_command({list(argv)!r})\n"
+              "print(code, ' '.join(sorted({m.split('.')[0] for m in sys.modules})))\n"
+              "print(out.getvalue(), end='')\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    first, _, out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                   capture_output=True, text=True, timeout=60
+                                   ).stdout.partition("\n")
+    code, *held = first.split()
+    return int(code), out, set(held)
+
+
+def test_root_command_guard_finds_what_it_looks_for():
+    assert "numpy" in after_command(ROOT_COMMAND, ("numpy",))[2]
+
+
+def test_root_finding_command_loads_no_numpy():
+    code, out, held = after_command(ROOT_COMMAND)
+    assert code == 0 and "witness: parameter 1" in out  # the zero set's roots were found
+    assert "crossedprod" in held and "numpy" not in held, sorted(held)

@@ -104,7 +104,6 @@ def test_equal_records_hash_and_print_like_dataclasses():
 
 
 def test_float_records_pickle_and_copy():
-    # exact scalars do not pickle, so a float config stands in
     U = config("union_shift_cycle3.cfg").system
     a = parse_elem("u[sh{inf:1,0:2}; f{0:1,1:2,2:0}] - d^3", U)
     for obj in (U, parse_point("c1:2", U), a, a.coeffs[0], parse_set("all", U)):

@@ -1,6 +1,8 @@
 """The exact scalar kernel against a Fraction-pair reference."""
 
+import copy
 import math
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossedprod import scalars as sc
+from crossedprod.algebra import element
+from crossedprod.funcspace import const_func
 from crossedprod.parsing import parse_scalar_text, render_scalar
 from crossedprod.scalars import QComplex
 
@@ -116,6 +120,22 @@ def test_immutable():
         with pytest.raises(AttributeError):
             delattr(z, name)
     assert z == sc.qc(1, 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pairs)
+def test_pickle_and_copy_keep_the_normal_form(p):
+    z = QComplex(*p)
+    for back in (pickle.loads(pickle.dumps(z)), copy.deepcopy(z), copy.copy(z)):
+        assert type(back) is QComplex and back == z and hash(back) == hash(z) and normal(back)
+
+
+def test_exact_funcs_and_elements_pickle_and_copy(cycle3):
+    f = const_func(cycle3, sc.qc(1, -2) / sc.qc(3))
+    a = element(cycle3, {0: f, 2: const_func(cycle3, sc.qc(0, 5))})
+    for obj in (f, a):
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert back == obj and back.exact
 
 
 def test_division_by_exact_zero_raises():

@@ -5,15 +5,18 @@ and the band around the circle, directly and through its two callers
 import cmath
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossedprod.algebra import element
 from crossedprod.dynsys import pt, turns_eq
 from crossedprod.funcspace import const_func, f_zero_set, trig_poly
-from crossedprod import transform
+from crossedprod import scalars, transform
 from crossedprod.reps_ideals import canonical_px_lambda, generated_ideal
-from crossedprod.scalars import ROOT_MATCH_TOL, unit_circle_roots
+from crossedprod.scalars import ABERTH_SWEEPS, ROOT_MATCH_TOL, aberth_roots, unit_circle_roots
 from crossedprod.transform import ideal_leq, lamset_roots, zeros_of_ideal
 
 TOL = 1e-9
@@ -129,3 +132,123 @@ def test_one_kernel_call_per_lambda_set(cycle3, monkeypatch):
     I = generated_ideal(cycle3, [a])
     assert not ideal_leq(I, canonical_px_lambda(cycle3, pt(0), -1 + 0j))
     assert len(calls) == len(set(calls)) == 1
+
+
+# ---------------------------------------------------------------------------
+# The Aberth engine, with numpy's companion-matrix roots as the reference
+
+@pytest.mark.parametrize("coeffs,want", [
+    ([-2, 1], [2]),
+    ([3j, 1j], [-3]),
+    ([0, 0, -1, 1], [0, 0, 1]),
+    ([0, 1], [0]),
+    ([-1, 0, 0, 1], [1, cmath.exp(2j * math.pi / 3), cmath.exp(-2j * math.pi / 3)]),
+], ids=["degree 1", "degree 1 complex", "roots at zero", "only zero", "1 - z^3"])
+def test_engine_small_cases(coeffs, want):
+    roots, sweeps = aberth_roots([complex(c) for c in coeffs])
+    assert sweeps < ABERTH_SWEEPS and len(roots) == len(want)
+    assert all(min(abs(r - w) for r in roots) < 1e-15 for w in want)
+    assert all(r.imag == 0.0 for r in roots if abs(r.imag) < 1e-3)  # real roots come out exact
+
+
+def jittered_turns(width: float, jitter) -> list[float]:
+    """One turn in each of len(jitter) equal cells of [0, width), kept 0.1
+    cell from the cell's edges, so no two come closer than 0.2 cell."""
+    return [width * (j + 0.1 + 0.8 * u) / len(jitter) for j, u in enumerate(jitter)]
+
+
+@st.composite
+def planted_polys(draw):
+    """(coefficients, real?) of a real or complex polynomial with 1-40
+    simple roots on the unit circle, possibly one more 1e-3 along the
+    circle from one of them (and its conjugate), up to three off the
+    circle, and a root at zero of multiplicity 0-2."""
+    real = draw(st.booleans())
+    unif = st.floats(0, 1)
+    if real:
+        count = draw(st.integers(0, 19))  # conjugate pairs
+        top = [cmath.exp(2j * math.pi * t)
+               for t in jittered_turns(0.5, draw(st.lists(unif, min_size=count, max_size=count)))]
+        signs = draw(st.sets(st.sampled_from([1.0, -1.0]), min_size=not count))
+        units = top + [u.conjugate() for u in top] + [complex(x) for x in sorted(signs)]
+    else:
+        count = draw(st.integers(1, 40))
+        spin = cmath.exp(2j * math.pi * draw(unif))
+        units = [spin * cmath.exp(2j * math.pi * t)
+                 for t in jittered_turns(1.0, draw(st.lists(unif, min_size=count, max_size=count)))]
+    if draw(st.booleans()) and (units[0].imag > 0 or not real):
+        near = units[0] * cmath.exp(1e-3j)
+        units += [near, near.conjugate()] if real else [near]
+    off = []
+    for r in draw(st.lists(st.sampled_from([0.3, 0.6, 1.5, 2.5]), unique=True, max_size=3)):
+        if real and draw(st.booleans()):
+            off.append(complex(r if draw(st.booleans()) else -r))
+            continue
+        w = r * cmath.exp(2j * math.pi * (0.05 + 0.4 * draw(unif)))
+        off += [w, w.conjugate()] if real else [w]
+    zeros = draw(st.integers(0, 2))
+    coeffs = poly_from_roots(units + off + [0j] * zeros)
+    if real:
+        coeffs = [complex(c.real) for c in coeffs]
+    else:
+        coeffs = [c * cmath.exp(0.2j * math.pi) for c in coeffs]
+    return coeffs, real
+
+
+def root_condition(p, w) -> float:
+    """sum |c_k| |w|^k / |p'(w)|: how far a small relative change of p's
+    coefficients can move its simple root w, per unit of that change."""
+    v = d = 0j
+    s = 0.0
+    for c in reversed(p):
+        d = d * w + v
+        v = v * w + c
+        s = s * abs(w) + abs(c)
+    return s / abs(d) if d else math.inf
+
+
+def numpy_engine(p):
+    return np.roots(p[::-1]).tolist(), 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted_polys())
+def test_engine_matches_companion_roots(case):
+    coeffs, real = case
+    calls = []
+
+    def engine(p):
+        roots, sweeps = aberth_roots(p)
+        calls.append((p, roots, sweeps))
+        return roots, sweeps
+
+    with mock.patch.object(scalars, "aberth_roots", engine):
+        got = unit_circle_roots(coeffs, TOL)
+    with mock.patch.object(scalars, "aberth_roots", numpy_engine):
+        want = unit_circle_roots(coeffs, TOL)
+    [(p, roots, sweeps)] = calls
+    assert sweeps < ABERTH_SWEEPS  # every root met the backward-error stop
+
+    # Both engines give exact roots of polynomials within about n ulp of the
+    # squarefree part p, so they agree within 1e-9 or, on an ill-conditioned
+    # root, within what its conditioning allows.
+    slack = 16 * len(p) * 2.0 ** -52
+
+    def near(r, others):
+        return min(abs(r - w) for w in others) <= 1e-9 + slack * root_condition(p, r)
+
+    assert len(got) == len(want) and all(near(r, want) for r in got)
+    ref = np.roots(np.array(p[::-1]).real if real else p[::-1]).tolist()
+    assert len(roots) == len(ref)
+    assert all(near(r, ref) for r in roots) and all(near(w, roots) for w in ref)
+    if real:  # real roots exactly real, as numpy's real eigensolver gives them
+        assert sum(r.imag == 0.0 for r in roots) == sum(w.imag == 0.0 for w in ref)
+        assert all(r in (1, -1) for r in got if abs(r.imag) < 1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="the squarefree step's tolerance Euclid declares a small "
+                   "remainder zero against a large operand and divides by a spurious factor")
+def test_simple_roots_survive_the_squarefree_step():
+    want = [cmath.exp(2j * math.pi * t) for t in (0.03, 0.3, 0.67, 0.94)]
+    roots = unit_circle_roots(poly_from_roots(want), TOL)
+    assert len(roots) == 4 and all(min(abs(r - w) for r in roots) < 1e-9 for w in want)
