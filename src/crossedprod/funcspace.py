@@ -6,18 +6,15 @@ polynomials with absolutely summable coefficients.  The rotation model
 runs in float mode only; finite and shift models also support exact
 rational scalars.
 
-Each model's kernels are methods of its system class in :mod:`.dynsys`,
-where :class:`Func` lives too; the functions here check their arguments
-and call the method.
+Each model's kernels are methods of its system class, in that model's own
+module; :class:`Func` lives in :mod:`.dynsys`.  The functions here check
+their arguments and call the method.
 """
 
 from __future__ import annotations
 
 from . import scalars as sc
-from .dynsys import (
-    FiniteSystem, Func as Func, Point, RotationSystem, ShiftSystem, UnionSystem,
-    rotation_phase as rotation_phase, validate_point,
-)
+from .dynsys import Func as Func, Point, rotation_phase as rotation_phase, validate_point
 from .errors import SystemMismatchError
 from .scalars import DEFAULT_TOL as DEFAULT_TOL, unit_circle_roots as unit_circle_roots
 
@@ -38,19 +35,19 @@ def one_func(system, exact: bool = False) -> Func:
     return system.const(sc.one_like(exact))
 
 
-def finite_func(system: FiniteSystem, values) -> Func:
+def finite_func(system, values) -> Func:
     return Func(system, tuple(values))
 
 
-def shift_func(system: ShiftSystem, v_inf, exceptional=None) -> Func:
+def shift_func(system, v_inf, exceptional=None) -> Func:
     return Func(system, (v_inf, dict(exceptional or {})))
 
 
-def trig_poly(system: RotationSystem, coeffs) -> Func:
+def trig_poly(system, coeffs) -> Func:
     return Func(system, dict(coeffs))
 
 
-def union_func(system: UnionSystem, parts) -> Func:
+def union_func(system, parts) -> Func:
     return Func(system, tuple(parts))
 
 

@@ -40,18 +40,12 @@ from . import scalars as sc
 from .algebra import Element, alg_add, alg_mul, alg_adj, alg_scale, alg_sub, \
     delta_power, expectation, from_func, unit
 from .dynsys import (
-    INF, CircleSet, FiniteSet, FiniteSystem, Point, RotationSystem, ShiftSet,
-    ShiftSystem, Surd, UnionSet, UnionSystem, validate_point,
+    INF, CircleSet, FiniteSet, Point, ShiftSet, UnionSet, empty_set, validate_point,
+    whole_space,
 )
-from .errors import ModeMismatchError, ParseError, UnsupportedQueryError
+from .errors import ModeMismatchError, ParseError, SystemMismatchError, UnsupportedQueryError
 from .funcspace import Func, f_compose_sigma, zero_func
 from .records import record
-from .reps_ideals import (
-    GeneratedIdeal, IntersectionIdeal, KernelIdeal, PxIdeal, PxLambdaIdeal,
-    QxIdeal, canonical_px, canonical_px_lambda, canonical_qx, generated_ideal,
-    intersection_ideal, kernel_ideal,
-)
-from .transform import FiniteRoots, FullCircle, PolynomialRoots, TorusEntry, TorusSubset
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +236,14 @@ def _parse_sysdecl(s: _Stream):
         if points is None or sigma is None:
             t = s.peek()
             raise ParseError("finite system needs points and sigma", t.line, t.col)
+        from .finite import FiniteSystem
         return FiniteSystem(points, tuple(sigma))
     if kind.text == "shift":
         s.expect("}")
+        from .shift import ShiftSystem
         return ShiftSystem()
     if kind.text == "rotation":
+        from .rotation import RotationSystem, Surd
         theta = None
         irrational = True
         while not s.accept("}"):
@@ -273,33 +270,13 @@ def _parse_sysdecl(s: _Stream):
     while not s.accept("}"):
         s.expect_name("component")
         comps.append(_parse_sysdecl(s))
+    from .union import UnionSystem
     return UnionSystem(tuple(comps))
 
 
 def render_config(cfg: SystemConfig) -> str:
-    lines = [_render_system(cfg.system, "")]
-    lines.append(f"mode {cfg.mode}")
-    lines.append(f"tolerance {fmt_real(cfg.tolerance)}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_system(system, indent, head="system") -> str:
-    pad = indent
-    if isinstance(system, FiniteSystem):
-        sig = " ".join(str(i) for i in system.sigma)
-        return f"{pad}{head} finite {{ points {system.size} sigma {sig} }}"
-    if isinstance(system, ShiftSystem):
-        return f"{pad}{head} shift {{ }}"
-    if isinstance(system, RotationSystem):
-        if isinstance(system.theta, Surd):
-            th = f"surd {system.theta.p} {system.theta.q} {system.theta.r} {system.theta.d}"
-        else:
-            th = str(system.theta)
-        flag = "true" if system.irrational else "false"
-        return f"{pad}{head} rotation {{ theta {th} irrational {flag} }}"
-    inner = "\n".join(_render_system(c, indent + "  ", "component")
-                      for c in system.components)
-    return f"{pad}{head} union {{\n{inner}\n{pad}}}"
+    return (f"system {cfg.system.declaration('')}\nmode {cfg.mode}\n"
+            f"tolerance {fmt_real(cfg.tolerance)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +343,20 @@ def _parse_point(s: _Stream, system) -> Point:
             and s.peek().text[1:].isdigit():
         path.append(int(s.next().text[1:]))
         s.expect(":")
-    leaf = system.leaf(tuple(path))
+    x = Point(_parse_coord(s, system.leaf(tuple(path))), tuple(path))
+    validate_point(system, x)
+    return x
+
+
+def _parse_coord(s: _Stream, leaf):
     t = s.peek()
     if t.kind == "name" and t.text == "inf":
         s.next()
-        coord: object = INF
-    else:
-        v = _parse_number(s)
-        if isinstance(leaf, RotationSystem):
-            coord = v % 1 if not isinstance(v, float) else v % 1.0
-        else:
-            if isinstance(v, (float, Fraction)) and not float(v).is_integer():
-                raise ParseError("integer point expected", t.line, t.col)
-            coord = int(v)
-    x = Point(coord, tuple(path))
-    validate_point(system, x)
-    return x
+        return INF
+    coord = leaf.coord(_parse_number(s))
+    if coord is None:
+        raise ParseError("integer point expected", t.line, t.col)
+    return coord
 
 
 def render_point(x: Point) -> str:
@@ -496,6 +471,7 @@ def _parse_atom(s: _Stream, system, exact) -> Element:
 def _parse_func_literal(s: _Stream, system, exact) -> Func:
     t = s.expect_name("f", "sh", "tp", "u")
     if t.text == "u":
+        from .union import UnionSystem
         if not isinstance(system, UnionSystem):
             raise ParseError("union literal on a non-union system", t.line, t.col)
         s.expect("[")
@@ -512,9 +488,10 @@ def _parse_func_literal(s: _Stream, system, exact) -> Func:
         s.expect("]")
         return Func(system, tuple(parts))
     if t.text == "f":
+        from .finite import FiniteSystem
         if not isinstance(system, FiniteSystem):
             raise ParseError("finite literal on a non-finite system", t.line, t.col)
-        entries = _parse_brace_entries(s, exact, int_keys=True)
+        entries = _parse_braced(s, lambda: _parse_entry(s, exact))
         vals = [sc.zero_like(exact)] * system.size
         for k, v in entries:
             if not 0 <= k < system.size:
@@ -522,6 +499,7 @@ def _parse_func_literal(s: _Stream, system, exact) -> Func:
             vals[k] = v
         return Func(system, tuple(vals))
     if t.text == "sh":
+        from .shift import ShiftSystem
         if not isinstance(system, ShiftSystem):
             raise ParseError("shift literal on a non-shift system", t.line, t.col)
         s.expect("{")
@@ -535,25 +513,28 @@ def _parse_func_literal(s: _Stream, system, exact) -> Func:
             exc[k] = _parse_scalar(s, exact)
         s.expect("}")
         return Func(system, (v_inf, exc))
+    from .rotation import RotationSystem
     if not isinstance(system, RotationSystem):
         raise ParseError("trig literal on a non-rotation system", t.line, t.col)
-    entries = _parse_brace_entries(s, False, int_keys=True)
-    return Func(system, {k: v for k, v in entries})
+    return Func(system, dict(_parse_braced(s, lambda: _parse_entry(s, False))))
 
 
-def _parse_brace_entries(s: _Stream, exact, int_keys: bool):
+def _parse_braced(s: _Stream, item) -> list:
+    """'{' item (',' item)* '}', or '{}'."""
     s.expect("{")
     out = []
-    if s.accept("}"):
-        return out
-    while True:
-        k = int(_parse_number(s))
-        s.expect(":")
-        v = _parse_scalar(s, exact)
-        out.append((k, v))
-        if s.accept("}"):
-            return out
-        s.expect(",")
+    if not s.accept("}"):
+        out = [item()]
+        while s.accept(","):
+            out.append(item())
+        s.expect("}")
+    return out
+
+
+def _parse_entry(s: _Stream, exact):
+    k = int(_parse_number(s))
+    s.expect(":")
+    return k, _parse_scalar(s, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +551,6 @@ def parse_set(text: str, system):
 
 
 def _parse_set(s: _Stream, system):
-    from .dynsys import empty_set, whole_space
     t = s.peek()
     if t.kind == "name" and t.text == "all":
         s.next()
@@ -579,24 +559,19 @@ def _parse_set(s: _Stream, system):
         s.next()
         return empty_set(system)
     if t.kind == "name" and t.text == "circle":
+        from .rotation import RotationSystem
         if not isinstance(system, RotationSystem):
             raise ParseError("circle literal on a non-rotation system", t.line, t.col)
         s.next()
         return CircleSet(True)
     if t.kind == "name" and t.text == "co":
+        from .shift import ShiftSystem
         if not isinstance(system, ShiftSystem):
             raise ParseError("cofinite literal on a non-shift system", t.line, t.col)
         s.next()
-        s.expect("{")
-        ints = set()
-        if not s.accept("}"):
-            while True:
-                ints.add(int(_parse_number(s)))
-                if s.accept("}"):
-                    break
-                s.expect(",")
-        return ShiftSet(frozenset(ints), True, True)
+        return ShiftSet(frozenset(_parse_braced(s, lambda: int(_parse_number(s)))), True, True)
     if t.kind == "name" and t.text == "u":
+        from .union import UnionSystem
         if not isinstance(system, UnionSystem):
             raise ParseError("union literal on a non-union system", t.line, t.col)
         s.next()
@@ -608,46 +583,19 @@ def _parse_set(s: _Stream, system):
             parts.append(_parse_set(s, comp))
         s.expect("]")
         return UnionSet(tuple(parts))
-    if t.kind == "{":
-        s.next()
-        if isinstance(system, FiniteSystem):
-            pts = set()
-            if not s.accept("}"):
-                while True:
-                    pts.add(int(_parse_number(s)))
-                    if s.accept("}"):
-                        break
-                    s.expect(",")
-            for i in pts:
-                if not 0 <= i < system.size:
-                    raise ParseError(f"point {i} outside the system", t.line, t.col)
-            return FiniteSet(frozenset(pts))
-        if isinstance(system, ShiftSystem):
-            ints = set()
-            has_inf = False
-            if not s.accept("}"):
-                while True:
-                    if s.peek().kind == "name" and s.peek().text == "inf":
-                        s.next()
-                        has_inf = True
-                    else:
-                        ints.add(int(_parse_number(s)))
-                    if s.accept("}"):
-                        break
-                    s.expect(",")
-            return ShiftSet(frozenset(ints), has_inf)
-        if isinstance(system, RotationSystem):
-            turns = []
-            if not s.accept("}"):
-                while True:
-                    v = _parse_number(s)
-                    turns.append(Fraction(v) % 1 if not isinstance(v, float) else v % 1.0)
-                    if s.accept("}"):
-                        break
-                    s.expect(",")
-            return CircleSet(False, tuple(turns))
-        raise ParseError("brace set literal on a union system needs u[...]",
-                         t.line, t.col)
+    if t.kind == "{":  # the closed set of the listed points of a leaf system
+        try:
+            leaf = system.leaf(())
+        except SystemMismatchError:
+            raise ParseError("brace set literal on a union system needs u[...]",
+                             t.line, t.col) from None
+        coords = _parse_braced(s, lambda: _parse_coord(s, leaf))
+        for c in coords:
+            try:
+                leaf.check_coord(c)
+            except SystemMismatchError:
+                raise ParseError(f"point {c} outside the system", t.line, t.col) from None
+        return leaf.points_to_set([Point(c) for c in coords])
     raise ParseError(
         f"found {t.text!r}" if t.kind != "end" else "unexpected end of input",
         t.line, t.col, expected=("all", "empty", "circle", "co", "u", "{"),
@@ -668,44 +616,46 @@ def parse_ideal(text: str, system, exact: bool = False):
 
 
 def _parse_ideal(s: _Stream, system, exact):
+    from . import reps_ideals as ri
     t = s.expect_name("Px", "Pxl", "Qx", "K", "meet", "gen")
     s.expect("(")
     if t.text == "Px":
         x = _parse_point(s, system)
         s.expect(")")
-        return canonical_px(system, x)
+        return ri.canonical_px(system, x)
     if t.text == "Pxl":
         x = _parse_point(s, system)
         s.expect(",")
         lam = _parse_scalar(s, exact)
         s.expect(")")
-        return canonical_px_lambda(system, x, lam)
+        return ri.canonical_px_lambda(system, x, lam)
     if t.text == "Qx":
         x = _parse_point(s, system)
         s.expect(")")
-        return canonical_qx(system, x)
+        return ri.canonical_qx(system, x)
     if t.text == "K":
         S = _parse_set(s, system)
         s.expect(")")
-        return kernel_ideal(system, S)
+        return ri.kernel_ideal(system, S)
     if t.text == "meet":
         parts = [_parse_ideal(s, system, exact)]
         while s.accept(","):
             parts.append(_parse_ideal(s, system, exact))
         s.expect(")")
-        return intersection_ideal(system, parts)
+        return ri.intersection_ideal(system, parts)
     gens = [_parse_expr(s, system, exact)]
     while s.accept(","):
         gens.append(_parse_expr(s, system, exact))
     s.expect(")")
-    return generated_ideal(system, gens)
+    return ri.generated_ideal(system, gens)
 
 
 # ---------------------------------------------------------------------------
 # Torus subset literals
 
 
-def parse_torus(text: str, system, exact: bool = False) -> TorusSubset:
+def parse_torus(text: str, system, exact: bool = False):
+    from .transform import TorusEntry, TorusSubset
     s = _Stream(text)
     s.expect_name("t")
     s.expect("[")
@@ -726,17 +676,11 @@ def parse_torus(text: str, system, exact: bool = False) -> TorusSubset:
 
 
 def _parse_lamdesc(s: _Stream, exact):
+    from .transform import FiniteRoots, FullCircle, PolynomialRoots
     t = s.expect_name("full", "roots", "poly")
     if t.text == "full":
         return FullCircle()
-    s.expect("{")
-    vals = []
-    if not s.accept("}"):
-        while True:
-            vals.append(complex(_parse_scalar(s, False)))
-            if s.accept("}"):
-                break
-            s.expect(",")
+    vals = [complex(v) for v in _parse_braced(s, lambda: _parse_scalar(s, False))]
     if t.text == "roots":
         return FiniteRoots(tuple(vals))
     return PolynomialRoots(tuple(vals))
@@ -771,21 +715,7 @@ def render_scalar(z) -> str:
 
 
 def render_func(f: Func) -> str:
-    system = f.system
-    if isinstance(system, FiniteSystem):
-        inner = ",".join(f"{i}:{render_scalar(v)}" for i, v in enumerate(f.data))
-        return "f{" + inner + "}"
-    if isinstance(system, ShiftSystem):
-        v, e = f.data
-        parts = [f"inf:{render_scalar(v)}"]
-        parts.extend(f"{n}:{render_scalar(e[n])}" for n in sorted(e))
-        return "sh{" + ",".join(parts) + "}"
-    if isinstance(system, RotationSystem):
-        if not f.data:
-            return "tp{0:0}"
-        inner = ",".join(f"{k}:{render_scalar(f.data[k])}" for k in sorted(f.data))
-        return "tp{" + inner + "}"
-    return "u[" + "; ".join(render_func(p) for p in f.data) + "]"
+    return f.system.literal(f, render_scalar)
 
 
 def render_element(a: Element) -> str:
@@ -820,22 +750,24 @@ def render_set(S) -> str:
 
 
 def render_ideal(I) -> str:
-    if isinstance(I, PxIdeal):
+    from . import reps_ideals as ri
+    if isinstance(I, ri.PxIdeal):
         return f"Px({render_point(I.x)})"
-    if isinstance(I, PxLambdaIdeal):
+    if isinstance(I, ri.PxLambdaIdeal):
         return f"Pxl({render_point(I.x)}, {render_scalar(I.lam)})"
-    if isinstance(I, QxIdeal):
+    if isinstance(I, ri.QxIdeal):
         return f"Qx({render_point(I.x)})"
-    if isinstance(I, KernelIdeal):
+    if isinstance(I, ri.KernelIdeal):
         return f"K({render_set(I.subset)})"
-    if isinstance(I, IntersectionIdeal):
+    if isinstance(I, ri.IntersectionIdeal):
         return "meet(" + ", ".join(render_ideal(p) for p in I.parts) + ")"
-    if isinstance(I, GeneratedIdeal):
+    if isinstance(I, ri.GeneratedIdeal):
         return "gen(" + ", ".join(render_element(g) for g in I.gens) + ")"
     raise UnsupportedQueryError("cannot render this handle")
 
 
 def render_lamdesc(ls) -> str:
+    from .transform import FiniteRoots, FullCircle
     if isinstance(ls, FullCircle):
         return "full"
     if isinstance(ls, FiniteRoots):
@@ -843,7 +775,7 @@ def render_lamdesc(ls) -> str:
     return "poly{" + ",".join(render_scalar(c) for c in ls.coeffs) + "}"
 
 
-def render_torus(T: TorusSubset) -> str:
+def render_torus(T) -> str:
     entries = []
     for e in T.entries:
         mark = "*" if e.use_closure else ""

@@ -11,12 +11,9 @@ from fractions import Fraction
 
 from . import scalars as sc
 from .algebra import Element, alg_add, alg_mul
-from .dynsys import (
-    FiniteSystem, Point, RotationSystem, ShiftSystem, UnionSystem,
-    is_periodic, period,
-)
+from .dynsys import is_periodic, period
 from .errors import UnsupportedQueryError
-from .funcspace import Func, zero_func
+from .funcspace import Func
 from .reps_ideals import (
     IdealHandle, IntersectionIdeal, PxLambdaIdeal, SetKernelIdeal,
     canonical_px, canonical_px_lambda, canonical_qx, escape_element,
@@ -31,17 +28,7 @@ def random_scalar(rng: random.Random, exact: bool):
 
 
 def random_func(system, rng: random.Random, exact: bool = False) -> Func:
-    if isinstance(system, FiniteSystem):
-        return Func(system, tuple(random_scalar(rng, exact) for _ in range(system.size)))
-    if isinstance(system, ShiftSystem):
-        exc = {rng.randint(-3, 3): random_scalar(rng, exact)
-               for _ in range(rng.randint(0, 3))}
-        return Func(system, (random_scalar(rng, exact), exc))
-    if isinstance(system, RotationSystem):
-        coeffs = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                  for k in range(-2, 3) if rng.random() < 0.6}
-        return Func(system, coeffs or {0: complex(rng.uniform(-1, 1), 0)})
-    return Func(system, tuple(random_func(c, rng, exact) for c in system.components))
+    return system.random_func(rng, lambda: random_scalar(rng, exact))
 
 
 def random_element(system, rng: random.Random, radius: int = 3,
@@ -65,44 +52,8 @@ def random_unimodular(rng: random.Random, exact: bool = False):
 def random_func_vanishing_on(system, S, rng: random.Random, exact: bool = False) -> Func:
     """A random function that vanishes on S and is generically nonzero
     elsewhere."""
-    if isinstance(system, UnionSystem):
-        return Func(system, tuple(
-            random_func_vanishing_on(c, p, rng, exact)
-            for c, p in zip(system.components, S.parts)
-        ))
-    zero = sc.zero_like(exact)
-    if isinstance(system, FiniteSystem):
-        return Func(system, tuple(
-            zero if i in S.points else random_scalar(rng, exact)
-            for i in range(system.size)
-        ))
-    if isinstance(system, ShiftSystem):
-        if S.cofinite:
-            return Func(system, (zero, {n: random_scalar(rng, exact) for n in S.ints}))
-        exc = {n: zero for n in S.ints}
-        if S.has_inf:
-            v = zero
-            for _ in range(rng.randint(0, 3)):
-                n = rng.randint(-3, 3)
-                if n not in exc:
-                    exc[n] = random_scalar(rng, exact)
-        else:
-            v = random_scalar(rng, exact)
-            for _ in range(rng.randint(0, 2)):
-                n = rng.randint(-3, 3)
-                if n not in exc:
-                    exc[n] = random_scalar(rng, exact)
-        return Func(system, (v, exc))
-    if S.whole:
-        return zero_func(system)
-    if not S.turns:
-        return random_func(system, rng, exact=False)
-    from .funcspace import f_mul, separating_func
-    t = (float(S.turns[0]) + 0.25) % 1.0
-    while system.contains(S, Point(t)):
-        t = (t + 0.13) % 1.0
-    base = separating_func(system, S, Point(t))
-    return f_mul(base, random_func(system, rng, exact=False))
+    return system.random_vanishing_on(S, rng, lambda: random_scalar(rng, exact),
+                                      sc.zero_like(exact))
 
 
 def random_member(I: IdealHandle, rng: random.Random, radius: int = 3,

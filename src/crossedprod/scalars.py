@@ -225,17 +225,22 @@ def unit_circle_roots(coeffs, tol: float) -> list[complex]:
     coeffs is an ascending sequence or a Laurent dict {k: c_k}.  Roots are
     those of the squarefree part p / gcd(p, p'), by the tolerance Euclid of
     poly_gcd, so a repeated root is found once (and simple roots closer
-    than about sqrt(tol) merge).  Those within max(tol, 1e-7) of the circle
-    are kept, projected onto it, and merged when closer than ROOT_MATCH_TOL.
+    than about sqrt(tol) merge); a gcd that leaves a remainder on p or p'
+    is spurious, and p is then taken as squarefree.  Those within
+    max(tol, 1e-7) of the circle are kept, projected onto it, and merged
+    when closer than ROOT_MATCH_TOL.
     """
     if isinstance(coeffs, dict):
         coeffs = [coeffs.get(k, 0) for k in range(min(coeffs), max(coeffs) + 1)]
     p = _poly_trim([complex(c) for c in coeffs], tol)
     if len(p) <= 1:
         return []
-    g = _euclid(p, [k * c for k, c in enumerate(p)][1:], tol)
-    if len(g) > 1:
-        p = _poly_divmod(p, g, tol)[0]
+    dp = [k * c for k, c in enumerate(p)][1:]
+    g = _euclid(p, dp, tol)
+    if len(g) > 1:  # a g that leaves a remainder is spurious: p is squarefree
+        q, r = _poly_divmod(p, g, tol)
+        if not r and not _poly_divmod(dp, g, tol)[1]:
+            p = q
     out: list[complex] = []
     for r in aberth_roots(p)[0]:
         if abs(abs(r) - 1.0) <= max(tol, 1e-7):

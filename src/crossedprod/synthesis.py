@@ -13,7 +13,7 @@ from .algebra import (
     Element, alg_add, alg_mul, alg_norm, alg_scale, alg_sub, expectation,
     from_func, zero_element,
 )
-from .dynsys import RotationSystem, is_free, period
+from .dynsys import is_free, period
 from .errors import UnsupportedQueryError
 from .funcspace import f_algnorm, one_func, trig_poly
 from .records import record
@@ -30,6 +30,7 @@ def char_average(a: Element, order: int) -> Element:
     rotation angle times n, so supports and coefficient zero sets are
     preserved and no coefficient norm grows.
     """
+    from .rotation import RotationSystem
     system = a.system
     if not isinstance(system, RotationSystem):
         raise UnsupportedQueryError("character averaging runs on the rotation model")
@@ -112,6 +113,7 @@ def dichotomy_report(system, epsilon: float = 0.1, max_rounds: int = 14) -> Dich
             escape_function=f, escape_elem=a,
             note="a torus-parameter kernel admits an escaping zero coefficient",
         )
+    from .rotation import RotationSystem  # a free system has rotation components
     if isinstance(system, RotationSystem):
         sample = Element(system, {
             0: trig_poly(system, {0: 1 + 0j}),

@@ -62,6 +62,16 @@ def test_exit_codes():
     assert code == 0
 
 
+def test_check_help_lists_every_suite_and_an_unknown_suite_is_a_usage_error():
+    # the parser lists the suites without loading them
+    from crossedprod.checks import SUITES
+    cfg = str(DATA / "cycle3_exact.cfg")
+    code, out = invoke(["--config", cfg, "check", "--help"])
+    assert code == 0
+    assert out.split("--suite {", 1)[1].split("}", 1)[0].split(",") == sorted(SUITES)
+    assert invoke(["--config", cfg, "check", "--suite", "no.such.suite"])[0] == 2
+
+
 @pytest.mark.parametrize("suite", ["reps.kernel", "inclusion.table"])
 def test_check_suites_run_in_exact_mode(suite, capsys):
     # the suites draw their torus parameters in the config's numeric mode

@@ -6,8 +6,9 @@ ask a handle for its class (each kind answers through its methods), no
 module binds a type name to ``object`` in place of a real class, no module
 imports numpy, and no module imports ``dataclasses`` or calls ``exec``,
 ``eval`` or ``compile``.  Fresh interpreters check what
-``import crossedprod.cli`` loads, and that a command which finds
-unit-circle roots loads no numpy.
+``import crossedprod.cli`` loads, that a command which finds
+unit-circle roots loads no numpy, and that a command on a finite config
+loads only the layers it runs and no other model's module.
 """
 
 import ast
@@ -164,7 +165,8 @@ ROOT_COMMAND = ("--config", str(SRC.parent.parent / "tests" / "data" / "cycle3_e
 
 def after_command(argv, preload=()) -> tuple:
     """In one fresh interpreter that first imports preload, the exit code and
-    output of ``cli.run_command(argv)`` and the top-level modules held then."""
+    output of ``cli.run_command(argv)`` and the modules held then, by their
+    full dotted names."""
     script = ("import contextlib, importlib, io, sys\n"
               f"for name in {list(preload)!r}:\n"
               "    importlib.import_module(name)\n"
@@ -172,7 +174,7 @@ def after_command(argv, preload=()) -> tuple:
               "out = io.StringIO()\n"
               "with contextlib.redirect_stdout(out):\n"
               f"    code = run_command({list(argv)!r})\n"
-              "print(code, ' '.join(sorted({m.split('.')[0] for m in sys.modules})))\n"
+              "print(code, ' '.join(sorted(sys.modules)))\n"
               "print(out.getvalue(), end='')\n")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     first, _, out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
@@ -190,3 +192,27 @@ def test_root_finding_command_loads_no_numpy():
     code, out, held = after_command(ROOT_COMMAND)
     assert code == 0 and "witness: parameter 1" in out  # the zero set's roots were found
     assert "crossedprod" in held and "numpy" not in held, sorted(held)
+
+
+CYCLE3 = ("--config", str(SRC.parent.parent / "tests" / "data" / "cycle3_exact.cfg"))
+IDEAL_LAYERS = {f"crossedprod.{m}" for m in (
+    "checks", "galois", "sampling", "synthesis", "hullkernel", "reps_ideals", "transform")}
+OTHER_MODELS = {"crossedprod.shift", "crossedprod.rotation", "crossedprod.union"}
+
+
+def test_cold_path_guard_finds_what_it_looks_for():
+    code, _, held = after_command(CYCLE3 + ("check", "--suite", "dual.average"))
+    assert code == 0 and "crossedprod.checks" in held
+
+
+def test_element_command_loads_no_ideal_layer_and_no_other_model():
+    code, out, held = after_command(CYCLE3 + ("eval", "--elem", "d * f{0:1} * d^-1"))
+    assert code == 0 and out == "f{0:0,1:1,2:0}\n"
+    assert not held & (IDEAL_LAYERS | OTHER_MODELS), sorted(held & (IDEAL_LAYERS | OTHER_MODELS))
+
+
+def test_ideal_command_on_a_finite_config_loads_no_other_model():
+    code, out, held = after_command(
+        CYCLE3 + ("member", "--ideal", "Pxl(0, 1)", "--elem", "1 - d^3"))
+    assert code == 0 and out == "true\n"
+    assert not held & OTHER_MODELS, sorted(held & OTHER_MODELS)

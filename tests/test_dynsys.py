@@ -225,3 +225,21 @@ def test_rational_rotation_orbits(rational_rotation):
     assert len(reps) == 1
     with pytest.raises(UnsupportedQueryError):
         rational_rotation.all_orbits_in(whole_space(rational_rotation))
+
+
+def test_finite_sigma_powers_are_cached_on_the_instance(perm1235):
+    import copy
+    import pickle
+
+    from crossedprod.finite import FiniteSystem
+    fresh = FiniteSystem(11, perm1235.sigma)
+    for k in range(-35, 35):  # the order is lcm(1, 2, 3, 5) = 30
+        x = pt(7)
+        for _ in range(abs(k)):
+            x = pt(perm1235.sigma.index(x.coord) if k < 0 else perm1235.sigma[x.coord])
+        assert perm1235.apply_sigma(pt(7), k) == x
+    assert perm1235._powers != fresh._powers  # the caches differ, equality does not see them
+    assert perm1235 == fresh and hash(perm1235) == hash(fresh)
+    assert "_powers" not in repr(perm1235) and list(perm1235.__record_fields__) == ["size", "sigma"]
+    for clone in (pickle.loads(pickle.dumps(perm1235)), copy.deepcopy(perm1235)):
+        assert clone == perm1235 and clone.apply_sigma(pt(7), 29) == perm1235.apply_sigma(pt(7), 29)

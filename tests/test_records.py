@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from crossedprod import (
-    algebra, dynsys, galois, hullkernel, parsing, reps_ideals, synthesis, transform,
+    algebra, dynsys, finite, galois, hullkernel, parsing, reps_ideals, rotation, shift,
+    synthesis, transform, union,
 )
 from crossedprod.parsing import (
     parse_config, parse_elem, parse_ideal, parse_point, parse_set, parse_torus,
@@ -25,7 +26,8 @@ from crossedprod.records import record
 from crossedprod.reps_ideals import rep_periodic
 
 DATA = Path(__file__).resolve().parent / "data"
-MODULES = (algebra, dynsys, galois, hullkernel, parsing, reps_ideals, synthesis, transform)
+MODULES = (algebra, dynsys, finite, galois, hullkernel, parsing, reps_ideals, rotation, shift,
+           synthesis, transform, union)
 RECORD_CLASSES = [c for m in MODULES for c in vars(m).values()
                   if isinstance(c, type) and c.__module__ == m.__name__
                   and "__record_fields__" in vars(c)]

@@ -246,8 +246,6 @@ def test_engine_matches_companion_roots(case):
         assert all(r in (1, -1) for r in got if abs(r.imag) < 1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason="the squarefree step's tolerance Euclid declares a small "
-                   "remainder zero against a large operand and divides by a spurious factor")
 def test_simple_roots_survive_the_squarefree_step():
     want = [cmath.exp(2j * math.pi * t) for t in (0.03, 0.3, 0.67, 0.94)]
     roots = unit_circle_roots(poly_from_roots(want), TOL)
