@@ -37,6 +37,14 @@ class Element:
         _set_coeffs(self, clean)
         _set_exact(self, any(f.exact for f in clean.values()))
 
+    def __repr__(self):
+        """Function literals times powers of d, by ascending index."""
+        parts = []
+        for n in self.support():
+            power = "" if n == 0 else "*d" if n == 1 else f"*d^{n}"
+            parts.append(f"{self.coeffs[n]!r}{power}")
+        return " + ".join(parts) or "0"
+
     def coeff(self, n: int) -> Func:
         got = self.coeffs.get(n)
         if got is not None:

@@ -25,6 +25,7 @@ from .parsing import (
     render_func, render_ideal, render_point, render_scalar, render_set,
     render_torus,
 )
+from .scalars import check_tolerance
 
 DEFAULT_TOL_ENV = "CROSSEDPROD_TOL"
 # The keys of checks.SUITES, written out so that building the parser does
@@ -74,10 +75,10 @@ def _load_config(path: str) -> SystemConfig:
 
 def _tol(args, cfg: SystemConfig) -> float:
     if args.tol is not None:
-        return args.tol
+        return check_tolerance(args.tol, "--tol")
     env = os.environ.get(DEFAULT_TOL_ENV)
     if env:
-        return float(env)
+        return check_tolerance(env, f"${DEFAULT_TOL_ENV}")
     return cfg.tolerance
 
 
@@ -166,7 +167,7 @@ def run_command(argv) -> int:
     except UnsupportedQueryError as ex:
         print(f"unsupported: {ex}", file=sys.stderr)
         return 4
-    except (CrossedProdError, OSError, ValueError) as ex:
+    except (CrossedProdError, OSError, ValueError, OverflowError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 
@@ -245,10 +246,9 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         out.add(render_ideal(kernel_ideal(system, S)))
     elif args.command == "decompose":
         from .hullkernel import decompose_as_intersection
+        from .reps_ideals import intersection_ideal
         S = parse_set(args.set, system)
-        parts = decompose_as_intersection(system, S)
-        out.add("meet(" + ", ".join(render_ideal(p) for p in parts) + ")"
-                if parts else "meet()")
+        out.add(render_ideal(intersection_ideal(system, decompose_as_intersection(system, S))))
     elif args.command == "zeros":
         from .transform import zeros_nonempty_report
         I = parse_ideal(args.ideal, system, exact)

@@ -8,6 +8,9 @@ iteration, closed subsets in a normal form closed under the set algebra the
 hull/kernel machinery needs, and the kernels of the function model
 :class:`Func`.  This module holds what the models share, resolves their
 classes by name on first use, and has the checked entry points.
+
+The ``repr`` of a point, a closed set or a function is its literal in the
+grammar of :mod:`.parsing`, which reads it back.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class Point:
         object.__setattr__(self, "path", path)
 
     def __repr__(self):
-        base = repr(self.coord)
+        c = self.coord
+        base = sc.fmt_real(c) if isinstance(c, float) else str(c)
         for i in reversed(self.path):
             base = f"c{i}:{base}"
         return base
@@ -139,14 +143,10 @@ class CircleSet:
     def __repr__(self):
         if self.whole:
             return "circle"
-        return "{" + ",".join(_fmt_turn(t) for t in self.turns) + "}"
+        return "{" + ",".join(map(sc.fmt_real, self.turns)) + "}"
 
     def is_empty(self) -> bool:
         return not self.whole and not self.turns
-
-
-def _fmt_turn(t):
-    return str(t) if isinstance(t, Fraction) else repr(float(t))
 
 
 @record
@@ -188,6 +188,9 @@ class Func:
         _set_system(self, system)
         _set_data(self, data)
         _set_exact(self, exact)
+
+    def __repr__(self):
+        return self.system.literal(self)
 
 
 _alloc = object.__new__

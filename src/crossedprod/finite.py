@@ -151,8 +151,8 @@ class FiniteSystem(_Leaf):
     def declaration(self, pad: str) -> str:
         return f"finite {{ points {self.size} sigma {' '.join(map(str, self.sigma))} }}"
 
-    def literal(self, f: Func, scalar) -> str:
-        return "f{" + ",".join(f"{i}:{scalar(v)}" for i, v in enumerate(f.data)) + "}"
+    def literal(self, f: Func) -> str:
+        return "f{" + ",".join(f"{i}:{sc.render_scalar(v)}" for i, v in enumerate(f.data)) + "}"
 
     # functions: a tuple of values, one per point
 

@@ -26,26 +26,33 @@ Element expression grammar:
               0.25, 3i, 1+2i, -1/3-1/4i
 
 Ideal literals: Px(point), Pxl(point, scalar), Qx(point), K(set),
-meet(ideal, ...), gen(expr, ...).
+meet(ideal, ...) or meet(), gen(expr, ...).
 Set literals: all | empty | circle | {points} | co{ints} | u[set; ...].
 Torus literals: t[entry; ...] with entry = point "*"? ":" lamdesc and
 lamdesc = full | roots{scalar, ...} | poly{scalar, ...}.
+
+Every value these parsers build prints its own literal as its ``repr``, so
+``parse_*(repr(v))`` gives ``v`` back; the ``render_*`` names here are
+``repr``, and ``fmt_real`` and ``render_scalar`` come from :mod:`.scalars`.
+A decimal beyond the float range and a tolerance that is negative or not
+finite are parse errors.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import scalars as sc
 from .algebra import Element, alg_add, alg_mul, alg_adj, alg_scale, alg_sub, \
     delta_power, expectation, from_func, unit
 from .dynsys import (
-    INF, CircleSet, FiniteSet, Point, ShiftSet, UnionSet, empty_set, validate_point,
-    whole_space,
+    INF, CircleSet, Point, ShiftSet, UnionSet, empty_set, validate_point, whole_space,
 )
-from .errors import ModeMismatchError, ParseError, SystemMismatchError, UnsupportedQueryError
+from .errors import ModeMismatchError, ParseError, SystemMismatchError
 from .funcspace import Func, f_compose_sigma, zero_func
 from .records import record
+from .scalars import fmt_real as fmt_real, render_scalar as render_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +172,14 @@ class _Stream:
         return self.peek().kind == "end"
 
 
+def _done(s: _Stream, value, what: str, expected=()):
+    """value, once s has no input left after it."""
+    if not s.at_end():
+        t = s.peek()
+        raise ParseError(f"trailing input after {what}", t.line, t.col, expected=expected)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # System configs
 
@@ -188,7 +203,12 @@ def parse_config(text: str) -> SystemConfig:
         elif key.text == "mode":
             mode = s.expect_name("exact", "float").text
         else:
-            tol = float(_parse_number(s))
+            t = s.peek()
+            v = _parse_number(s)
+            try:
+                tol = sc.check_tolerance(v)
+            except (ValueError, OverflowError) as ex:  # overflow: an integer too large
+                raise ParseError(str(ex), t.line, t.col) from None
     if system is None:
         t = s.peek()
         raise ParseError("config declares no system", t.line, t.col)
@@ -205,18 +225,25 @@ def parse_config(text: str) -> SystemConfig:
 def _parse_number(s: _Stream):
     neg = s.accept("-") is not None
     t = s.expect("num", "number")
-    if "." in t.text or "e" in t.text or "E" in t.text:
-        v = float(t.text)
+    if not t.text.isdigit():
+        v = _decimal(t)
         return -v if neg else v
     if s.accept("/"):
         den = s.expect("num", "integer denominator")
-        if "." in den.text or int(den.text) == 0:
+        if not den.text.isdigit() or int(den.text) == 0:
             raise ParseError("fraction denominator must be a nonzero integer",
                              den.line, den.col)
         v = Fraction(int(t.text), int(den.text))
         return -v if neg else v
     v = int(t.text)
     return -v if neg else v
+
+
+def _decimal(t: Token) -> float:
+    v = float(t.text)
+    if v == math.inf:
+        raise ParseError(f"number {t.text} is beyond the float range", t.line, t.col)
+    return v
 
 
 def _parse_sysdecl(s: _Stream):
@@ -285,11 +312,7 @@ def render_config(cfg: SystemConfig) -> str:
 
 def parse_scalar_text(text: str, exact: bool):
     s = _Stream(text)
-    v = _parse_scalar(s, exact)
-    if not s.at_end():
-        t = s.peek()
-        raise ParseError("trailing input after scalar", t.line, t.col)
-    return v
+    return _done(s, _parse_scalar(s, exact), "scalar")
 
 
 def _parse_scalar(s: _Stream, exact: bool):
@@ -310,18 +333,18 @@ def _parse_signed_part(s: _Stream, exact: bool):
         s.next()
         return sc.QComplex(Fraction(0), Fraction(sign)) if exact else complex(0, sign)
     num = s.expect("num", "number")
-    if "." in num.text or "e" in num.text or "E" in num.text:
+    if not num.text.isdigit():
         if exact:
             raise ParseError("decimal literal in exact mode", num.line, num.col)
-        val = float(num.text)
+        val = _decimal(num)
     else:
-        val = Fraction(int(num.text)) if exact else float(int(num.text))
+        val = Fraction(int(num.text)) if exact else _decimal(num)
     if s.accept("/"):
         den = s.expect("num", "denominator")
-        if "." in den.text or int(den.text) == 0:
+        if not den.text.isdigit() or int(den.text) == 0:
             raise ParseError("fraction denominator must be a nonzero integer",
                              den.line, den.col)
-        val = val / (Fraction(int(den.text)) if exact else float(int(den.text)))
+        val = val / (Fraction(int(den.text)) if exact else _decimal(den))
     if s.peek().kind == "name" and s.peek().text == "i":
         s.next()
         return sc.QComplex(Fraction(0), sign * val) if exact else complex(0, sign * val)
@@ -330,11 +353,7 @@ def _parse_signed_part(s: _Stream, exact: bool):
 
 def parse_point(text: str, system) -> Point:
     s = _Stream(text)
-    x = _parse_point(s, system)
-    if not s.at_end():
-        t = s.peek()
-        raise ParseError("trailing input after point", t.line, t.col)
-    return x
+    return _done(s, _parse_point(s, system), "point")
 
 
 def _parse_point(s: _Stream, system) -> Point:
@@ -359,27 +378,14 @@ def _parse_coord(s: _Stream, leaf):
     return coord
 
 
-def render_point(x: Point) -> str:
-    base = "inf" if x.coord is INF else (
-        str(x.coord) if not isinstance(x.coord, float) else fmt_real(x.coord)
-    )
-    for i in reversed(x.path):
-        base = f"c{i}:{base}"
-    return base
-
-
 # ---------------------------------------------------------------------------
 # Element expressions
 
 
 def parse_elem(text: str, system, exact: bool = False) -> Element:
     s = _Stream(text)
-    e = _parse_expr(s, system, exact)
-    if not s.at_end():
-        t = s.peek()
-        raise ParseError("trailing input after expression", t.line, t.col,
-                         expected=("+", "-", "*", "^", "end of input"))
-    return e
+    return _done(s, _parse_expr(s, system, exact), "expression",
+                 ("+", "-", "*", "^", "end of input"))
 
 
 def _parse_expr(s: _Stream, system, exact) -> Element:
@@ -405,7 +411,7 @@ def _parse_factor(s: _Stream, system, exact) -> Element:
     if s.accept("^"):
         neg = s.accept("-") is not None
         t = s.expect("num", "integer exponent")
-        if "." in t.text:
+        if not t.text.isdigit():
             raise ParseError("integer exponent expected", t.line, t.col)
         n = int(t.text)
         if neg:
@@ -543,11 +549,7 @@ def _parse_entry(s: _Stream, exact):
 
 def parse_set(text: str, system):
     s = _Stream(text)
-    S = _parse_set(s, system)
-    if not s.at_end():
-        t = s.peek()
-        raise ParseError("trailing input after set", t.line, t.col)
-    return S
+    return _done(s, _parse_set(s, system), "set")
 
 
 def _parse_set(s: _Stream, system):
@@ -608,11 +610,7 @@ def _parse_set(s: _Stream, system):
 
 def parse_ideal(text: str, system, exact: bool = False):
     s = _Stream(text)
-    I = _parse_ideal(s, system, exact)
-    if not s.at_end():
-        t = s.peek()
-        raise ParseError("trailing input after ideal", t.line, t.col)
-    return I
+    return _done(s, _parse_ideal(s, system, exact), "ideal")
 
 
 def _parse_ideal(s: _Stream, system, exact):
@@ -637,8 +635,8 @@ def _parse_ideal(s: _Stream, system, exact):
         S = _parse_set(s, system)
         s.expect(")")
         return ri.kernel_ideal(system, S)
-    if t.text == "meet":
-        parts = [_parse_ideal(s, system, exact)]
+    if t.text == "meet":  # meet() is the meet of no ideals: the whole algebra
+        parts = [] if s.peek().kind == ")" else [_parse_ideal(s, system, exact)]
         while s.accept(","):
             parts.append(_parse_ideal(s, system, exact))
         s.expect(")")
@@ -669,10 +667,7 @@ def parse_torus(text: str, system, exact: bool = False):
             if s.accept("]"):
                 break
             s.expect(";")
-    if not s.at_end():
-        t = s.peek()
-        raise ParseError("trailing input after torus set", t.line, t.col)
-    return TorusSubset(system, tuple(entries))
+    return _done(s, TorusSubset(system, tuple(entries)), "torus set")
 
 
 def _parse_lamdesc(s: _Stream, exact):
@@ -687,97 +682,7 @@ def _parse_lamdesc(s: _Stream, exact):
 
 
 # ---------------------------------------------------------------------------
-# Rendering (canonical, reparseable forms)
+# Rendering: each value's repr is its literal in the grammars above
 
-
-def fmt_real(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    f = float(v)
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return f"{f:.12g}"
-
-
-def render_scalar(z) -> str:
-    if sc.is_exact(z):
-        re, im = z.re, z.im
-    else:
-        z = complex(z)
-        re, im = z.real, z.imag
-    re_s, im_s = fmt_real(re), fmt_real(im)
-    if im == 0:
-        return re_s
-    if re == 0:
-        return f"{im_s}i"
-    sign = "+" if not im_s.startswith("-") else ""
-    return f"{re_s}{sign}{im_s}i"
-
-
-def render_func(f: Func) -> str:
-    return f.system.literal(f, render_scalar)
-
-
-def render_element(a: Element) -> str:
-    """Canonical form: function literals times powers of d, ascending index."""
-    if not a.coeffs:
-        return "0"
-    parts = []
-    for n in a.support():
-        lit = render_func(a.coeffs[n])
-        if n == 0:
-            parts.append(lit)
-        elif n == 1:
-            parts.append(f"{lit}*d")
-        else:
-            parts.append(f"{lit}*d^{n}")
-    return " + ".join(parts)
-
-
-def render_set(S) -> str:
-    if isinstance(S, FiniteSet):
-        return "{" + ",".join(str(i) for i in sorted(S.points)) + "}"
-    if isinstance(S, ShiftSet):
-        if S.cofinite:
-            return "co{" + ",".join(str(i) for i in sorted(S.ints)) + "}"
-        items = (["inf"] if S.has_inf else []) + [str(i) for i in sorted(S.ints)]
-        return "{" + ",".join(items) + "}"
-    if isinstance(S, CircleSet):
-        if S.whole:
-            return "circle"
-        return "{" + ",".join(fmt_real(t) for t in S.turns) + "}"
-    return "u[" + "; ".join(render_set(p) for p in S.parts) + "]"
-
-
-def render_ideal(I) -> str:
-    from . import reps_ideals as ri
-    if isinstance(I, ri.PxIdeal):
-        return f"Px({render_point(I.x)})"
-    if isinstance(I, ri.PxLambdaIdeal):
-        return f"Pxl({render_point(I.x)}, {render_scalar(I.lam)})"
-    if isinstance(I, ri.QxIdeal):
-        return f"Qx({render_point(I.x)})"
-    if isinstance(I, ri.KernelIdeal):
-        return f"K({render_set(I.subset)})"
-    if isinstance(I, ri.IntersectionIdeal):
-        return "meet(" + ", ".join(render_ideal(p) for p in I.parts) + ")"
-    if isinstance(I, ri.GeneratedIdeal):
-        return "gen(" + ", ".join(render_element(g) for g in I.gens) + ")"
-    raise UnsupportedQueryError("cannot render this handle")
-
-
-def render_lamdesc(ls) -> str:
-    from .transform import FiniteRoots, FullCircle
-    if isinstance(ls, FullCircle):
-        return "full"
-    if isinstance(ls, FiniteRoots):
-        return "roots{" + ",".join(render_scalar(r) for r in ls.roots) + "}"
-    return "poly{" + ",".join(render_scalar(c) for c in ls.coeffs) + "}"
-
-
-def render_torus(T) -> str:
-    entries = []
-    for e in T.entries:
-        mark = "*" if e.use_closure else ""
-        entries.append(f"{render_point(e.point)}{mark}: {render_lamdesc(e.lamset)}")
-    return "t[" + "; ".join(entries) + "]"
+render_point = render_func = render_element = render_set = render_ideal = repr
+render_lamdesc = render_torus = repr

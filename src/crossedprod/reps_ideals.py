@@ -222,7 +222,7 @@ class PxLambdaIdeal(IdealHandle):
     canonical = True
 
     def __repr__(self):
-        return f"Pxl({self.x!r}, {self.lam})"
+        return f"Pxl({self.x!r}, {sc.render_scalar(self.lam)})"
 
     def member(self, a: Element, tol: float) -> bool:
         """The finite vanishing conditions cutting out the kernel: for every
@@ -353,7 +353,7 @@ class GeneratedIdeal(IdealHandle):
     gens: tuple
 
     def __repr__(self):
-        return f"gen(<{len(self.gens)} generators>)"
+        return "gen(" + ", ".join(map(repr, self.gens)) + ")"
 
     def hull(self, tol: float) -> HullResult:
         acc = self.system.whole_space()

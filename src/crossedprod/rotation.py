@@ -228,10 +228,10 @@ class RotationSystem(_Leaf):
         th = f"surd {th.p} {th.q} {th.r} {th.d}" if isinstance(th, Surd) else str(th)
         return f"rotation {{ theta {th} irrational {'true' if self.irrational else 'false'} }}"
 
-    def literal(self, f: Func, scalar) -> str:
+    def literal(self, f: Func) -> str:
         if not f.data:
             return "tp{0:0}"
-        return "tp{" + ",".join(f"{k}:{scalar(f.data[k])}" for k in sorted(f.data)) + "}"
+        return "tp{" + ",".join(f"{k}:{sc.render_scalar(f.data[k])}" for k in sorted(f.data)) + "}"
 
     # functions: {frequency: coefficient} trigonometric polynomials, float only
 

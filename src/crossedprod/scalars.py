@@ -213,10 +213,48 @@ def rational_circle_point(t) -> QComplex:
 
 
 # ---------------------------------------------------------------------------
+# Scalar literals, as the parser reads them
+
+
+def fmt_real(v) -> str:
+    """A Fraction as itself, an integral float below 1e15 as an integer, and
+    any other float at 12 significant digits (``inf``, ``-inf``, ``nan``)."""
+    if isinstance(v, Fraction):
+        return str(v)
+    f = float(v)
+    if f.is_integer() and abs(f) < 1e15:
+        return str(int(f))
+    return f"{f:.12g}"
+
+
+def render_scalar(z) -> str:
+    if isinstance(z, QComplex):
+        re, im = z.re, z.im
+    else:
+        z = complex(z)
+        re, im = z.real, z.imag
+    re_s, im_s = fmt_real(re), fmt_real(im)
+    if im == 0:
+        return re_s
+    if re == 0:
+        return f"{im_s}i"
+    sign = "+" if not im_s.startswith("-") else ""
+    return f"{re_s}{sign}{im_s}i"
+
+
+# ---------------------------------------------------------------------------
 # Float polynomials (ascending coefficients) and their unit-circle roots
 
 DEFAULT_TOL = 1e-9
 ROOT_MATCH_TOL = 1e-6
+
+
+def check_tolerance(v, name: str = "tolerance") -> float:
+    """v as a float tolerance; ValueError unless it is finite and >= 0."""
+    tol = float(v)
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, not {fmt_real(tol)}")
+    return tol
 
 
 def unit_circle_roots(coeffs, tol: float) -> list[complex]:

@@ -130,8 +130,9 @@ class ShiftSystem(_Leaf):
     def declaration(self, pad: str) -> str:
         return "shift { }"
 
-    def literal(self, f: Func, scalar) -> str:
+    def literal(self, f: Func) -> str:
         v, e = f.data
+        scalar = sc.render_scalar
         items = [f"inf:{scalar(v)}", *(f"{n}:{scalar(e[n])}" for n in sorted(e))]
         return "sh{" + ",".join(items) + "}"
 

@@ -40,7 +40,7 @@ class FiniteRoots:
     roots: tuple
 
     def __repr__(self):
-        return "roots{" + ",".join(f"{complex(r):.6g}" for r in self.roots) + "}"
+        return "roots{" + ",".join(map(sc.render_scalar, self.roots)) + "}"
 
 
 @record
@@ -51,7 +51,7 @@ class PolynomialRoots:
     tol: float = DEFAULT_TOL
 
     def __repr__(self):
-        return "poly{" + ",".join(f"{complex(c):.6g}" for c in self.coeffs) + "}"
+        return "poly{" + ",".join(map(sc.render_scalar, self.coeffs)) + "}"
 
     @cached_property  # found once, on first use: a lambda set never asked finds no roots
     def roots(self) -> list[complex]:
@@ -330,12 +330,7 @@ def adjoint_zeros_equal(I, grid_order: int = 64, tol: float = 1e-8) -> bool:
 
 def _same_root_lists(Z1: TorusSubset, Z2: TorusSubset) -> bool:
     def gather(Z):
-        out = {}
-        for e in Z.entries:
-            key = repr(e.point)
-            r = lamset_roots(e.lamset)
-            out[key] = None if r is None else tuple(r)
-        return out
+        return {e.point: lamset_roots(e.lamset) for e in Z.entries}
 
     g1, g2 = gather(Z1), gather(Z2)
     if set(g1) != set(g2):

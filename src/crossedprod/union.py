@@ -152,8 +152,8 @@ class UnionSystem:
                           for c in self.components)
         return f"union {{\n{inner}\n{pad}}}"
 
-    def literal(self, f: Func, scalar) -> str:
-        return "u[" + "; ".join(c.literal(p, scalar) for c, p in zip(self.components, f.data)) + "]"
+    def literal(self, f: Func) -> str:
+        return "u[" + "; ".join(map(repr, f.data)) + "]"
 
     # functions: a tuple of component functions
 

@@ -126,3 +126,64 @@ def test_cli_fuzz_never_crashes():
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40)))
         code, _ = invoke(["--config", cfg, "eval", "--elem", text])
         assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    (["eval", "--elem", "1e200 * 1e200"], 0, "f{0:inf,1:inf,2:inf}\n"),
+    (["norm", "--elem", "1e200 * 1e200"], 0, "inf\n"),
+    (["norm", "--elem", "1e200 * 1e200 - 1e200 * 1e200"], 0, "nan\n"),
+    (["norm", "--elem", "1e400"], 3, ""),
+    (["eval", "--elem", "-1e400 * d"], 3, ""),
+    (["eval", "--elem", "1" + "0" * 400], 3, ""),
+    (["eval", "--elem", "1/1e400"], 3, ""),
+    (["transform", "--elem", "d", "--point", "0", "--lam", "1e999"], 3, ""),
+], ids=["inf", "inf_norm", "nan_norm", "big_decimal", "big_decimal_term", "big_integer",
+        "big_denominator", "big_lam"])
+def test_non_finite_numbers_print_or_are_refused(argv, code, out, capsys):
+    # an overflowing product prints inf or nan; a literal beyond the float
+    # range is a parse error, never a traceback
+    got = run_command(["--config", str(DATA / "swapfix.cfg"), *argv])
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, out)
+    assert "Traceback" not in captured.err
+
+
+def test_an_integer_beyond_the_float_range_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"system rotation {{ theta 1{'0' * 400} irrational true }}\n")
+    assert run_command(["--config", str(cfg), "report"]) == 2
+    assert "float" in capsys.readouterr().err
+
+
+def test_number_fuzz_exits_with_a_known_code(capsys):
+    cfg = str(DATA / "swapfix.cfg")
+    rng = random.Random(11)
+    numbers = ["1e200", "1e400", "1e-400", "0", "0.5", "1" + "0" * 320, "3/0", "1/1e9", "i"]
+    ops = [" + ", " - ", " * ", "*d^", "^"]
+    for _ in range(150):
+        text = rng.choice(numbers)
+        for _ in range(rng.randint(0, 4)):
+            text += rng.choice(ops) + rng.choice(numbers)
+        command = rng.choice([["eval", "--elem", text], ["norm", "--elem", text],
+                              ["hull", "--ideal", f"gen({text})"],
+                              ["zeros", "--ideal", f"gen({text} - d^2)"]])
+        assert run_command(["--config", cfg, *command]) in (0, 1, 2, 3, 4), text
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "1e400"])
+def test_a_tolerance_must_be_finite_and_not_negative(tol, tmp_path, monkeypatch, capsys):
+    hull = ["hull", "--ideal", "gen(f{0:0,1:1,2:1e-12})"]
+    good = str(DATA / "swapfix.cfg")
+    assert run_command(["--config", good, "--tol", tol, *hull]) == 2
+    monkeypatch.setenv("CROSSEDPROD_TOL", tol)
+    assert run_command(["--config", good, *hull]) == 2
+    monkeypatch.delenv("CROSSEDPROD_TOL")
+    if tol not in ("nan", "inf", "-inf"):  # the config grammar has no such words
+        bad = tmp_path / "bad.cfg"
+        bad.write_text((DATA / "swapfix.cfg").read_text() + f"tolerance {tol}\n")
+        assert run_command(["--config", str(bad), *hull]) == 3
+    assert capsys.readouterr().out == ""
+    for ok, hull_set in (("1e-9", "{2}"), ("0", "{}")):  # zero is exact comparison
+        assert run_command(["--config", good, "--tol", ok, *hull]) == 0
+        assert capsys.readouterr().out.startswith(hull_set + "\n")

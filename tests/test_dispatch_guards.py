@@ -19,11 +19,12 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crossedprod"
-HANDLE_MODULES = ("reps_ideals.py", "hullkernel.py", "transform.py")
+HANDLE_MODULES = ("reps_ideals.py", "hullkernel.py", "transform.py", "parsing.py")
 
 
 def ideal_isinstance_sites(source: str) -> list[int]:
-    """Lines calling isinstance against an ideal class."""
+    """Lines calling isinstance against an ideal class, by name or as a
+    module attribute (``ri.PxIdeal``)."""
     sites = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -31,8 +32,8 @@ def ideal_isinstance_sites(source: str) -> list[int]:
             continue
         kinds = node.args[1]
         names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-        if any(isinstance(n, ast.Name) and (n.id.endswith("Ideal") or n.id == "IdealHandle")
-               for n in names):
+        names = [getattr(n, "id", getattr(n, "attr", "")) for n in names]
+        if any(n.endswith("Ideal") or n == "IdealHandle" for n in names):
             sites.append(node.lineno)
     return sites
 
@@ -48,8 +49,9 @@ def test_guards_find_what_they_look_for():
     src = ("IdealHandle = object\n"
            "isinstance(I, (PxIdeal, int))\n"
            "isinstance(S, FiniteSet)\n"
-           "def f():\n    Local = object\n    return isinstance(I, IdealHandle)\n")
-    assert ideal_isinstance_sites(src) == [2, 6]
+           "def f():\n    Local = object\n    return isinstance(I, IdealHandle)\n"
+           "isinstance(I, ri.QxIdeal)\n")
+    assert sorted(ideal_isinstance_sites(src)) == [2, 6, 7]
     assert object_placeholders(src) == [1]
 
 
