@@ -167,8 +167,8 @@ def run_command(argv) -> int:
     except UnsupportedQueryError as ex:
         print(f"unsupported: {ex}", file=sys.stderr)
         return 4
-    except (CrossedProdError, OSError, ValueError, OverflowError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+    except (CrossedProdError, OSError, ValueError, OverflowError, RecursionError) as ex:
+        print(f"error: {ex}", file=sys.stderr)  # recursion: a value nested too deeply to print
         return 2
 
 

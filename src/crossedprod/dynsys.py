@@ -5,12 +5,15 @@ permutation system, the one-point compactification of the integer shift, a
 circle rotation (with a declared irrationality flag), and finite disjoint
 unions of these.  Each system class owns its model: point checks and sigma
 iteration, closed subsets in a normal form closed under the set algebra the
-hull/kernel machinery needs, and the kernels of the function model
-:class:`Func`.  This module holds what the models share, resolves their
-classes by name on first use, and has the checked entry points.
+hull/kernel machinery needs, the kernels of the function model
+:class:`Func`, and the syntax of its config declaration, function literal
+and set words, both written and read.  This module holds what the models
+share, resolves their classes by name on first use (the parser finds a
+declared model's class that way), and has the checked entry points.
 
 The ``repr`` of a point, a closed set or a function is its literal in the
-grammar of :mod:`.parsing`, which reads it back.
+grammar of :mod:`.parsing`, which reads it back through the shared readers
+there and the model's own readers.
 """
 
 from __future__ import annotations
@@ -227,6 +230,7 @@ class _Leaf:
     """
 
     __slots__ = ()
+    set_words = ()  # the words that start the model's own set literals
 
     def leaf(self, path: tuple[int, ...]):
         if path:

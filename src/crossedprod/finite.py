@@ -22,6 +22,7 @@ class FiniteSystem(_Leaf):
     __slots__ = ("size", "sigma", "_order", "_powers")
     size: int
     sigma: tuple[int, ...]
+    kind, func_tag = "finite", "f"
 
     def __post_init__(self):
         if self.size < 1:
@@ -146,13 +147,36 @@ class FiniteSystem(_Leaf):
 
         return sub, pmap, fmap
 
-    # the config declaration and the function literal
+    # the config declaration and the function literal, written and read
 
     def declaration(self, pad: str) -> str:
         return f"finite {{ points {self.size} sigma {' '.join(map(str, self.sigma))} }}"
 
+    @classmethod
+    def read_declaration(cls, s):
+        points = sigma = None
+        while not s.accept("}"):
+            if s.expect_name("points", "sigma").text == "points":
+                points = s.integer()
+            else:
+                sigma = []
+                while s.peek().kind == "num":
+                    sigma.append(s.integer())
+        if points is None or sigma is None:
+            s.fail("finite system needs points and sigma")
+        return cls(points, tuple(sigma))
+
     def literal(self, f: Func) -> str:
         return "f{" + ",".join(f"{i}:{sc.render_scalar(v)}" for i, v in enumerate(f.data)) + "}"
+
+    def read_func(self, s, exact: bool) -> Func:
+        tag = s.toks[s.pos - 1]  # a point out of range is reported at the tag
+        vals = [sc.zero_like(exact)] * self.size
+        for k, v in s.braced(lambda: s.entry(exact)):
+            if not 0 <= k < self.size:
+                s.fail(f"point {k} outside the system", at=tag)
+            vals[k] = v
+        return Func(self, tuple(vals))
 
     # functions: a tuple of values, one per point
 

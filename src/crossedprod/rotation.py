@@ -85,6 +85,7 @@ class RotationSystem(_Leaf):
 
     theta: object  # Surd | Fraction | float
     irrational: bool = True
+    kind, func_tag, set_words = "rotation", "tp", ("circle",)
 
     def __post_init__(self):
         th = self.theta
@@ -221,17 +222,42 @@ class RotationSystem(_Leaf):
             return self, (lambda x: x), (lambda f: f)
         raise UnsupportedQueryError("rotation subsystems are only the whole circle")
 
-    # the config declaration and the function literal
+    # the config declaration, the function literal and circle, written and read
 
     def declaration(self, pad: str) -> str:
         th = self.theta
         th = f"surd {th.p} {th.q} {th.r} {th.d}" if isinstance(th, Surd) else str(th)
         return f"rotation {{ theta {th} irrational {'true' if self.irrational else 'false'} }}"
 
+    @classmethod
+    def read_declaration(cls, s):
+        theta, irrational = None, True
+        while not s.accept("}"):
+            if s.expect_name("theta", "irrational").text == "irrational":
+                irrational = s.expect_name("true", "false").text == "true"
+            elif s.word("surd"):
+                theta = Surd(*[s.integer() for _ in range(4)])
+            else:
+                theta = s.number()
+        if theta is None:
+            s.fail("rotation system needs theta")
+        if isinstance(theta, Surd):
+            if not irrational:
+                s.fail("a surd angle declares an irrational rotation")
+        else:
+            theta = float(theta) if irrational else Fraction(theta)
+        return cls(theta, irrational)
+
     def literal(self, f: Func) -> str:
         if not f.data:
             return "tp{0:0}"
         return "tp{" + ",".join(f"{k}:{sc.render_scalar(f.data[k])}" for k in sorted(f.data)) + "}"
+
+    def read_func(self, s, exact: bool) -> Func:
+        return Func(self, dict(s.braced(lambda: s.entry(False))))  # float whatever the mode
+
+    def read_set(self, s, word: str):
+        return CircleSet(True)
 
     # functions: {frequency: coefficient} trigonometric polynomials, float only
 

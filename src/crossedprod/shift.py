@@ -17,6 +17,8 @@ def _shift(system, v_inf, exc: dict, exact: bool) -> Func:
 class ShiftSystem(_Leaf):
     """n -> n+1 on the one-point compactification of the integers."""
 
+    kind, func_tag, set_words = "shift", "sh", ("co",)
+
     # points and dynamics
 
     def check_coord(self, c) -> None:
@@ -125,16 +127,37 @@ class ShiftSystem(_Leaf):
             return sub, pmap, fmap
         raise UnsupportedQueryError("shift subsystem must be everything or the fixed point")
 
-    # the config declaration and the function literal
+    # the config declaration, the function literal and co{...}, written and read
 
     def declaration(self, pad: str) -> str:
         return "shift { }"
+
+    @classmethod
+    def read_declaration(cls, s):
+        s.expect("}")
+        return cls()
 
     def literal(self, f: Func) -> str:
         v, e = f.data
         scalar = sc.render_scalar
         items = [f"inf:{scalar(v)}", *(f"{n}:{scalar(e[n])}" for n in sorted(e))]
         return "sh{" + ",".join(items) + "}"
+
+    def read_func(self, s, exact: bool) -> Func:
+        s.expect("{")
+        s.expect_name("inf")
+        s.expect(":")
+        v_inf = s.scalar(exact)
+        exc = {}
+        while s.accept(","):
+            n, v = s.entry(exact)
+            exc[n] = v
+        s.expect("}")
+        return Func(self, (v_inf, exc))
+
+    def read_set(self, s, word: str):
+        """co{n, ...}: the set's repr when it is cofinite."""
+        return ShiftSet(frozenset(s.braced(s.integer)), True, True)
 
     # functions: (value at infinity, {n: value} finite exceptions)
 

@@ -18,6 +18,7 @@ class UnionSystem:
     """
 
     components: tuple
+    kind, func_tag, set_words = "union", "u", ("u",)
 
     def __post_init__(self):
         if not self.components:
@@ -145,15 +146,45 @@ class UnionSystem:
 
         return sub, pmap, fmap
 
-    # the config declaration and the function literal
+    # the config declaration, the function literal and u[...] sets, written and read
 
     def declaration(self, pad: str) -> str:
         inner = "\n".join(f"{pad}  component {c.declaration(pad + '  ')}"
                           for c in self.components)
         return f"union {{\n{inner}\n{pad}}}"
 
+    @classmethod
+    def read_declaration(cls, s):
+        comps = []
+        while not s.accept("}"):
+            s.expect_name("component")
+            comps.append(s.sysdecl())
+        return cls(tuple(comps))
+
     def literal(self, f: Func) -> str:
         return "u[" + "; ".join(map(repr, f.data)) + "]"
+
+    def _read_parts(self, s, read) -> tuple:
+        """'[' part (';' part)* ']' with one part per component, read by read(component)."""
+        s.expect("[")
+        parts = []
+        for i, c in enumerate(self.components):
+            if i:
+                s.expect(";")
+            parts.append(read(c))
+        s.expect("]")
+        return tuple(parts)
+
+    def read_func(self, s, exact: bool) -> Func:
+        def part(c):
+            if s.peek().text == "0" and s.toks[s.pos + 1].kind in (";", "]"):
+                s.next()  # 0: the zero function of that component
+                return c.const(sc.zero_like(exact))
+            return s.func(c, exact)
+        return Func(self, self._read_parts(s, part))
+
+    def read_set(self, s, word: str):
+        return UnionSet(self._read_parts(s, s.set))
 
     # functions: a tuple of component functions
 

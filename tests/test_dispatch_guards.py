@@ -2,8 +2,9 @@
 library runs without numpy, and a cold start generates no code.
 
 Guards over the library source, read with ``ast``: the ideal modules never
-ask a handle for its class (each kind answers through its methods), no
-module binds a type name to ``object`` in place of a real class, no module
+ask a handle for its class (each kind answers through its methods), the
+parser neither asks a system for its class nor imports a model's module
+(each system class reads its own syntax), no module binds a type name to ``object`` in place of a real class, no module
 imports numpy, and no module imports ``dataclasses`` or calls ``exec``,
 ``eval`` or ``compile``.  Fresh interpreters check what
 ``import crossedprod.cli`` loads, that a command which finds
@@ -22,9 +23,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "crossedprod"
 HANDLE_MODULES = ("reps_ideals.py", "hullkernel.py", "transform.py", "parsing.py")
 
 
-def ideal_isinstance_sites(source: str) -> list[int]:
-    """Lines calling isinstance against an ideal class, by name or as a
-    module attribute (``ri.PxIdeal``)."""
+def isinstance_sites(source: str, hit) -> list[int]:
+    """Lines calling isinstance against a class whose name passes hit, by
+    name or as a module attribute (``ri.PxIdeal``)."""
     sites = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -32,8 +33,34 @@ def ideal_isinstance_sites(source: str) -> list[int]:
             continue
         kinds = node.args[1]
         names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-        names = [getattr(n, "id", getattr(n, "attr", "")) for n in names]
-        if any(n.endswith("Ideal") or n == "IdealHandle" for n in names):
+        if any(hit(getattr(n, "id", getattr(n, "attr", ""))) for n in names):
+            sites.append(node.lineno)
+    return sites
+
+
+def is_ideal_class(name: str) -> bool:
+    return name.endswith("Ideal") or name == "IdealHandle"
+
+
+def is_system_class(name: str) -> bool:
+    return name.endswith("System")
+
+
+MODEL_MODULES = {"finite", "shift", "rotation", "union"}
+
+
+def model_imports(source: str) -> list[int]:
+    """Lines importing a model module: ``from .finite import ...``,
+    ``from . import shift``, ``import crossedprod.union`` and the like."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(set(n.split(".")) & MODEL_MODULES for n in names):
             sites.append(node.lineno)
     return sites
 
@@ -51,13 +78,31 @@ def test_guards_find_what_they_look_for():
            "isinstance(S, FiniteSet)\n"
            "def f():\n    Local = object\n    return isinstance(I, IdealHandle)\n"
            "isinstance(I, ri.QxIdeal)\n")
-    assert sorted(ideal_isinstance_sites(src)) == [2, 6, 7]
+    assert sorted(isinstance_sites(src, is_ideal_class)) == [2, 6, 7]
     assert object_placeholders(src) == [1]
+    src = ("isinstance(s, FiniteSystem)\n"
+           "isinstance(s, (int, dynsys.UnionSystem))\n"
+           "isinstance(S, ShiftSet)\n"
+           "from .rotation import Surd\n"
+           "from . import scalars, union\n"
+           "import crossedprod.shift as sh\n"
+           "def f():\n    from .finite import FiniteSystem\n"
+           "from .funcspace import finite_func\n")
+    assert sorted(isinstance_sites(src, is_system_class)) == [1, 2]
+    assert model_imports(src) == [4, 5, 6, 8]
 
 
 def test_ideal_modules_do_not_branch_on_the_handle_class():
-    found = {name: ideal_isinstance_sites((SRC / name).read_text()) for name in HANDLE_MODULES}
+    found = {name: isinstance_sites((SRC / name).read_text(), is_ideal_class)
+             for name in HANDLE_MODULES}
     assert not any(found.values()), f"isinstance against ideal classes: {found}"
+
+
+def test_the_parser_names_no_model():
+    # each system class reads its own syntax; the parser shares the rest
+    source = (SRC / "parsing.py").read_text()
+    assert isinstance_sites(source, is_system_class) == []
+    assert model_imports(source) == []
 
 
 def test_no_placeholder_type_aliases():

@@ -182,5 +182,3 @@ def test_parser_fuzz_never_crashes(cycle3, rng):
             parse_elem(text, cycle3)
         except ParseError:
             pass
-        except RecursionError:
-            pass
