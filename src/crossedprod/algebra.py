@@ -155,6 +155,7 @@ def expectation(a: Element) -> Func:
 
 def dual_action(a: Element, lam) -> Element:
     """Scale the n-th coefficient by lam**n for unimodular lam."""
+    sc.check_unimodular(lam)
     return _element(a.system, {
         n: a.system.scale(sc.unit_pow(lam, n), f) for n, f in a.coeffs.items()
     })
@@ -175,6 +176,7 @@ def dual_average(a: Element, order: int) -> Element:
 def fourier_eval(a: Element, x: Point, lam):
     """The transform value sum_n lam**n a_n(x)."""
     validate_point(a.system, x)
+    sc.check_unimodular(lam)
     total = None
     for n, f in a.coeffs.items():
         term = sc.unit_pow(lam, n) * a.system.eval(f, x)

@@ -22,7 +22,6 @@ import cmath
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from importlib import import_module
 
 from . import scalars as sc
@@ -211,7 +210,6 @@ def _func(system, data, exact: bool) -> Func:
     return f
 
 
-@lru_cache(maxsize=8192)
 def rotation_phase(system, m: int) -> complex:
     """exp(2 pi i theta m) for a rotation system, reduced mod 1 before
     exponentiating."""
@@ -293,6 +291,10 @@ class _Leaf:
 
     def exceptional_ints(self, f: Func) -> set:
         return set()
+
+    def character(self, m: int) -> Func:
+        """The circle character z^m, on the rotation model only."""
+        raise UnsupportedQueryError("character averaging runs on the rotation model")
 
 
 _MODELS = {"FiniteSystem": "finite", "ShiftSystem": "shift", "RotationSystem": "rotation",

@@ -17,8 +17,7 @@ from .hullkernel import hull
 from .records import record
 from .reps_ideals import kernel_ideal
 from .transform import (
-    FullCircle, TorusSubset, ideal_leq, ideal_of_torus_set, lamset_roots,
-    zeros_of_ideal, lamset_contains,
+    TorusSubset, ideal_leq, ideal_of_torus_set, lamset_contains, lamset_roots, zeros_of_ideal,
 )
 
 
@@ -256,9 +255,7 @@ def torus_leq(system, T1: TorusSubset, T2: TorusSubset) -> bool:
 
 
 def _lamset_subset(ls, others) -> bool:
-    if isinstance(ls, FullCircle):
-        return any(isinstance(o, FullCircle) for o in others)
     roots = lamset_roots(ls)
     if roots is None:
-        return any(isinstance(o, FullCircle) for o in others)
+        return any(o.roots is None for o in others)
     return all(any(lamset_contains(o, r) for o in others) for r in roots)

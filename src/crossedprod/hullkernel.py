@@ -9,13 +9,12 @@ closed forms; generated ideals go through coefficient zero sets.
 from __future__ import annotations
 
 from .algebra import Element
-from .dynsys import is_invariant_closed, is_periodic
+from .dynsys import is_invariant_closed
 from .errors import UnsupportedQueryError
 from .funcspace import DEFAULT_TOL
 from .records import record
 from .reps_ideals import (
-    HullResult, IdealHandle, KernelIdeal, canonical_px, canonical_qx,
-    ideal_member, kernel_ideal,
+    HullResult, IdealHandle, KernelIdeal, ideal_member, kernel_ideal, orbit_kernel,
 )
 
 
@@ -55,13 +54,7 @@ def decompose_as_intersection(system, S) -> list[IdealHandle]:
     one per orbit representative covering S."""
     if not is_invariant_closed(system, S):
         raise UnsupportedQueryError("decomposition needs an invariant closed set")
-    out = []
-    for x in system.cover_representatives(S):
-        if is_periodic(system, x):
-            out.append(canonical_qx(system, x))
-        else:
-            out.append(canonical_px(system, x))
-    return out
+    return [orbit_kernel(system, x) for x in system.cover_representatives(S)]
 
 
 @record(eq=False)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
+from operator import add
 
 from . import scalars as sc
-from .algebra import Element, alg_adj, demote_to_float, element, from_func
+from .algebra import Element, alg_add, alg_adj, alg_mul, demote_to_float, element, from_func
 from .dynsys import (
     Point, apply_sigma, is_periodic, orbit_points, period,
     is_invariant_closed, validate_point,
@@ -21,7 +23,7 @@ from .funcspace import DEFAULT_TOL, Func, f_eval, f_scale, one_func
 from .records import record
 from .transform import (
     FiniteRoots, FullCircle, TorusEntry, TorusSubset, generated_zero_set,
-    pth_roots, torus_contains,
+    pth_roots, residue_sums, torus_contains,
 )
 
 
@@ -70,6 +72,7 @@ def rep_periodic(system, x: Point, lam, a: Element) -> RepMatrix:
     p = period(system, x)
     if p is None:
         raise UnsupportedQueryError("rep_periodic needs a periodic point")
+    sc.check_unimodular(lam)
     a, lam = _unify_lam(a, lam)
     exact = a.exact and sc.is_exact(lam)
     orbit = orbit_points(system, x)
@@ -164,6 +167,10 @@ class IdealHandle:
     def adjoint(self) -> IdealHandle:
         raise UnsupportedQueryError("adjoint comparison takes a generated ideal")
 
+    def random_member(self, rng, radius: int, exact: bool) -> Element:
+        """A random member with indices up to radius, drawn from rng."""
+        raise UnsupportedQueryError("no member generator for this handle")
+
 
 @record(eq=False)
 class SetKernelIdeal(IdealHandle):
@@ -184,6 +191,16 @@ class SetKernelIdeal(IdealHandle):
 
     def contains(self, I: IdealHandle, tol: float) -> bool:
         return self.system.subset(self.subset, I.hull(tol).subset)
+
+    def random_member(self, rng, radius: int, exact: bool) -> Element:
+        from .sampling import random_func_vanishing_on  # sampling imports this module
+        coeffs = {}
+        for n in range(-radius, radius + 1):
+            if rng.random() < 0.6:
+                coeffs[n] = random_func_vanishing_on(self.system, self.subset, rng, exact)
+        if not coeffs:
+            coeffs[0] = random_func_vanishing_on(self.system, self.subset, rng, exact)
+        return Element(self.system, coeffs)
 
 
 @record(eq=False)
@@ -225,22 +242,26 @@ class PxLambdaIdeal(IdealHandle):
         return f"Pxl({self.x!r}, {sc.render_scalar(self.lam)})"
 
     def member(self, a: Element, tol: float) -> bool:
-        """The finite vanishing conditions cutting out the kernel: for every
-        orbit point and every residue j mod the period, the lam-weighted sum
-        of the coefficients with index in that residue class is zero."""
-        p = period(self.system, self.x)
+        """The finite vanishing conditions cutting out the kernel: each
+        residue sum along the orbit, weighted by powers of lam, is zero."""
         a, lam = _unify_lam(a, self.lam)
-        for xp in orbit_points(self.system, self.x):
-            for j in range(p):
-                acc = None
-                for n, f in a.coeffs.items():
-                    if (n - j) % p == 0:
-                        l = (n - j) // p
-                        t = sc.unit_pow(lam, l) * f_eval(f, xp)
-                        acc = t if acc is None else acc + t
-                if acc is not None and not sc.is_zero(acc, tol):
-                    return False
+        for sums in residue_sums(a, self.x):
+            terms = (sc.unit_pow(lam, l) * v for l, v in sums.items())
+            if not sc.is_zero(reduce(add, terms), tol):
+                return False
         return True
+
+    def random_member(self, rng, radius: int, exact: bool) -> Element:
+        """b g c for the escape element g, plus a member of Qx half the time."""
+        from .sampling import random_element, random_func
+        f = random_func(self.system, rng, exact)
+        g = escape_element(f, self.lam, period(self.system, self.x))
+        b = random_element(self.system, rng, 1, exact)
+        c = random_element(self.system, rng, 1, exact)
+        prod = alg_mul(alg_mul(b, g), c)
+        if rng.random() < 0.5:
+            prod = alg_add(prod, canonical_qx(self.system, self.x).random_member(rng, 1, exact))
+        return prod
 
     def hull(self, tol: float) -> HullResult:
         return HullResult(self.system.empty_set(),
@@ -345,6 +366,12 @@ class IntersectionIdeal(IdealHandle):
     def contains(self, I: IdealHandle, tol: float) -> bool:
         return all(p.contains(I, tol) for p in self.parts)
 
+    def random_member(self, rng, radius: int, exact: bool) -> Element:
+        if not self.parts:
+            from .sampling import random_element
+            return random_element(self.system, rng, radius, exact)
+        return reduce(alg_mul, (p.random_member(rng, 1, exact) for p in self.parts))
+
 
 @record(eq=False)
 class GeneratedIdeal(IdealHandle):
@@ -388,6 +415,7 @@ def canonical_px_lambda(system, x: Point, lam) -> PxLambdaIdeal:
     validate_point(system, x)
     if not is_periodic(system, x):
         raise UnsupportedQueryError("Pxl needs a periodic point")
+    sc.check_unimodular(lam)
     return PxLambdaIdeal(system, x, lam)
 
 
@@ -396,6 +424,11 @@ def canonical_qx(system, x: Point) -> QxIdeal:
     if not is_periodic(system, x):
         raise UnsupportedQueryError("Qx needs a periodic point")
     return QxIdeal(system, system.orbit_closure(x), x)
+
+
+def orbit_kernel(system, x: Point) -> SetKernelIdeal:
+    """The set kernel of the orbit closure of x: Qx if x is periodic, else Px."""
+    return canonical_qx(system, x) if is_periodic(system, x) else canonical_px(system, x)
 
 
 def kernel_ideal(system, S) -> KernelIdeal:

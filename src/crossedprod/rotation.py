@@ -341,8 +341,11 @@ class RotationSystem(_Leaf):
             coeffs = new
         return _trig(self, coeffs)
 
+    def character(self, m: int) -> Func:
+        return _trig(self, {m: 1 + 0j})
+
     def cx_basis(self, ints_window, max_freq: int, exact: bool) -> list[Func]:
-        return [_trig(self, {k: 1 + 0j}) for k in range(max_freq + 1)]
+        return [self.character(k) for k in range(max_freq + 1)]
 
     def demote(self, f: Func) -> Func:
         return f

@@ -10,14 +10,10 @@ import random
 from fractions import Fraction
 
 from . import scalars as sc
-from .algebra import Element, alg_add, alg_mul
-from .dynsys import is_periodic, period
-from .errors import UnsupportedQueryError
+from .algebra import Element
+from .dynsys import is_periodic
 from .funcspace import Func
-from .reps_ideals import (
-    IdealHandle, IntersectionIdeal, PxLambdaIdeal, SetKernelIdeal,
-    canonical_px, canonical_px_lambda, canonical_qx, escape_element,
-)
+from .reps_ideals import IdealHandle, canonical_px_lambda, orbit_kernel
 
 
 def random_scalar(rng: random.Random, exact: bool):
@@ -58,35 +54,8 @@ def random_func_vanishing_on(system, S, rng: random.Random, exact: bool = False)
 
 def random_member(I: IdealHandle, rng: random.Random, radius: int = 3,
                   exact: bool = False) -> Element:
-    """A random element of a canonical or intersection handle."""
-    system = I.system
-    if isinstance(I, SetKernelIdeal):
-        coeffs = {}
-        for n in range(-radius, radius + 1):
-            if rng.random() < 0.6:
-                coeffs[n] = random_func_vanishing_on(system, I.subset, rng, exact)
-        if not coeffs:
-            coeffs[0] = random_func_vanishing_on(system, I.subset, rng, exact)
-        return Element(system, coeffs)
-    if isinstance(I, PxLambdaIdeal):
-        p = period(system, I.x)
-        f = random_func(system, rng, exact)
-        g = escape_element(f, I.lam, p)
-        b = random_element(system, rng, 1, exact)
-        c = random_element(system, rng, 1, exact)
-        prod = alg_mul(alg_mul(b, g), c)
-        if rng.random() < 0.5:
-            extra = random_member(canonical_qx(system, I.x), rng, 1, exact)
-            prod = alg_add(prod, extra)
-        return prod
-    if isinstance(I, IntersectionIdeal):
-        if not I.parts:
-            return random_element(system, rng, radius, exact)
-        out = random_member(I.parts[0], rng, 1, exact)
-        for p in I.parts[1:]:
-            out = alg_mul(out, random_member(p, rng, 1, exact))
-        return out
-    raise UnsupportedQueryError("no member generator for this handle")
+    """A random element of a canonical, kernel or intersection handle."""
+    return I.random_member(rng, radius, exact)
 
 
 def canonical_handles(system, lam_values=(1 + 0j, -1 + 0j, 1j),
@@ -97,10 +66,8 @@ def canonical_handles(system, lam_values=(1 + 0j, -1 + 0j, 1j),
         lam_values = [sc.qc(lam.real, lam.imag) for lam in map(complex, lam_values)]
     out: list[IdealHandle] = []
     for x in system.orbit_reps():
+        out.append(orbit_kernel(system, x))
         if is_periodic(system, x):
-            out.append(canonical_qx(system, x))
             out.extend(canonical_px_lambda(system, x, lam) for lam in lam_values)
-        else:
-            out.append(canonical_px(system, x))
     return out
 

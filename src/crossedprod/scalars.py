@@ -185,6 +185,17 @@ def is_zero(z, tol: float = 0.0) -> bool:
     return abs(complex(z)) <= tol
 
 
+def check_unimodular(lam) -> None:
+    """Refuse a torus parameter off the unit circle, where unit_pow's
+    conjugate is no inverse: exactly, or within 1e-9 for a float."""
+    if isinstance(lam, QComplex):
+        on_circle = lam._a ** 2 + lam._b ** 2 == lam._d ** 2
+    else:
+        on_circle = abs(abs(complex(lam)) - 1.0) <= 1e-9
+    if not on_circle:
+        raise ValueError(f"torus parameter {render_scalar(lam)} is off the unit circle")
+
+
 def unit_pow(lam, n: int):
     """lam**n for unimodular lam; negative powers via conjugation.
 

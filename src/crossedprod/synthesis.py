@@ -1,10 +1,11 @@
 """Character-conjugation averaging on the free rotation system.
 
-Averaging an element over conjugations by the circle characters damps every
-nonzero-index coefficient by a Dirichlet mean while fixing the zero-index
-coefficient, giving a quantified, purely computational witness that the
-zero-coefficient projection is reachable inside the closed bimodule the
-element generates when the system is free.
+Averaging an element over conjugations by the circle characters, which the
+system supplies (the rotation model only), damps every nonzero-index
+coefficient by a Dirichlet mean while fixing the zero-index coefficient: a
+quantified, purely computational witness that the zero-coefficient
+projection is reachable inside the closed bimodule the element generates
+when the system is free.
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ def char_average(a: Element, order: int) -> Element:
     rotation angle times n, so supports and coefficient zero sets are
     preserved and no coefficient norm grows.
     """
-    from .rotation import RotationSystem
     system = a.system
-    if not isinstance(system, RotationSystem):
-        raise UnsupportedQueryError("character averaging runs on the rotation model")
+    system.character(0)  # only the rotation model has characters
     if order < 1:
         raise ValueError("averaging order must be positive")
     acc = zero_element(system)
     for m in range(order):
-        zm = from_func(trig_poly(system, {m: 1 + 0j}))
-        zm_conj = from_func(trig_poly(system, {-m: 1 + 0j}))
+        zm = from_func(system.character(m))
+        zm_conj = from_func(system.character(-m))
         acc = alg_add(acc, alg_mul(alg_mul(zm, a), zm_conj))
     return alg_scale(1.0 / order, acc)
 
@@ -113,14 +112,11 @@ def dichotomy_report(system, epsilon: float = 0.1, max_rounds: int = 14) -> Dich
             escape_function=f, escape_elem=a,
             note="a torus-parameter kernel admits an escaping zero coefficient",
         )
-    from .rotation import RotationSystem  # a free system has rotation components
-    if isinstance(system, RotationSystem):
-        sample = Element(system, {
-            0: trig_poly(system, {0: 1 + 0j}),
-            1: trig_poly(system, {0: 0.5, 1: 0.5}),
-            -1: trig_poly(system, {-1: 1 + 0j}),
-        })
-        rep = drive_to_E(sample, epsilon, max_rounds)
-        return DichotomyReport(True, averaging=rep,
-                               note="averaging drives the sample toward its zero coefficient")
-    return DichotomyReport(True, note="free; averaging evidence is per rotation component")
+    try:  # only the rotation model has characters; another free system is a union of them
+        sample = Element(system, {0: system.character(0), 1: trig_poly(system, {0: 0.5, 1: 0.5}),
+                                  -1: system.character(-1)})
+    except UnsupportedQueryError:
+        return DichotomyReport(True, note="free; averaging evidence is per rotation component")
+    rep = drive_to_E(sample, epsilon, max_rounds)
+    return DichotomyReport(True, averaging=rep,
+                           note="averaging drives the sample toward its zero coefficient")

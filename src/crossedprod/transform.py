@@ -1,9 +1,10 @@
 """Transform-side operators: zero sets in X x T and synthesized ideals.
 
 The transform of an element collects the Fourier transforms of its
-coefficient sequences at every point.  Zero sets of ideals are stored
-per orbit as (representative, torus subset) records; the reverse operator
-rebuilds an ideal as an intersection of canonical ones.
+coefficient sequences at every point; on a periodic orbit its residue sums
+cut out both a Pxl kernel and a generated ideal's lambda set.  Zero sets
+are stored per orbit as (representative, lambda set) records; the reverse
+operator rebuilds an ideal as an intersection of canonical ones.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .scalars import ROOT_MATCH_TOL, poly_gcd, unit_circle_roots
 
 @record
 class FullCircle:
+    roots = None  # no explicit list: every torus parameter
+
     def __repr__(self):
         return "full"
 
@@ -84,16 +87,7 @@ class TorusSubset:
 
 def lamset_roots(ls) -> list[complex] | None:
     """Explicit root list, or None for the full circle."""
-    if isinstance(ls, FullCircle):
-        return None
-    if isinstance(ls, FiniteRoots):
-        return [complex(r) for r in ls.roots]
-    return list(ls.roots)
-
-
-def lamset_is_empty(ls) -> bool:
-    r = lamset_roots(ls)
-    return r is not None and not r
+    return None if ls.roots is None else [complex(r) for r in ls.roots]
 
 
 def lamset_contains(ls, mu, tol: float = ROOT_MATCH_TOL) -> bool:
@@ -112,10 +106,7 @@ def torus_contains(T: TorusSubset, x: Point, mu, tol: float = ROOT_MATCH_TOL) ->
 
 
 def torus_is_empty(T: TorusSubset) -> bool:
-    return all(
-        lamset_is_empty(e.lamset) or orbit_closure(T.system, e.point).is_empty()
-        for e in T.entries
-    )
+    return all(lamset_roots(e.lamset) == [] for e in T.entries)
 
 
 def pth_roots(lam, p: int) -> list[complex]:
@@ -150,34 +141,38 @@ def generated_zero_set(I, tol: float) -> TorusSubset:
     return TorusSubset(I.system, tuple(out))
 
 
+def residue_sums(a: Element, x: Point) -> list[dict]:
+    """For each residue j mod the period p of x that some index meets and
+    each orbit point y, residue first, the map l -> a_{l p + j}(y) in the
+    element's order.  Weighted by lam^l, each map is a vanishing condition
+    of the kernel at (x, lam); by mu^{p l}, one of a lambda set."""
+    orbit = orbit_points(a.system, x)
+    p = len(orbit)
+    sums = [{} for _ in range(p * p)]
+    for n, f in a.coeffs.items():
+        l, j = divmod(n, p)
+        for k, y in enumerate(orbit):
+            sums[j * p + k][l] = f_eval(f, y)
+    return [s for s in sums if s]
+
+
 def _periodic_lambda_set(I, x: Point, tol):
     """Lambda set of a periodic orbit for a generated ideal: common unit
     roots of the per-generator vanishing conditions, as one gcd polynomial.
 
-    Each condition is the mu-polynomial sum_l mu^{p l} g_{l p + j}(x') with
-    powers cleared; an orbit with coprime conditions is omitted (None), and
-    all-zero conditions give the full circle.
+    Each condition is a residue sum as the mu-polynomial sum_l mu^{p l}
+    g_{l p + j}(y) with powers cleared; an orbit with coprime conditions is
+    omitted (None), and all-zero conditions give the full circle.
     """
-    system = I.system
-    p = period(system, x)
-    orbit = orbit_points(system, x)
+    p = period(I.system, x)
     conds: list[list[complex]] = []
     for g in I.gens:
-        if not g.coeffs:
-            continue
-        support = sorted(g.coeffs)
-        for j in range(p):
-            sel = [n for n in support if (n - j) % p == 0]
-            if not sel:
-                continue
-            lmin = min((n - j) // p for n in sel)
-            lmax = max((n - j) // p for n in sel)
-            for xp in orbit:
-                poly = [0j] * ((lmax - lmin) * p + 1)
-                for n in sel:
-                    l = (n - j) // p
-                    poly[(l - lmin) * p] += complex(f_eval(g.coeffs[n], xp))
-                conds.append(poly)
+        for sums in residue_sums(g, x):
+            lmin = min(sums)
+            poly = [0j] * ((max(sums) - lmin) * p + 1)
+            for l, v in sums.items():
+                poly[(l - lmin) * p] += complex(v)
+            conds.append(poly)
     g = poly_gcd(conds, tol)
     if g is None:
         return FullCircle()
@@ -194,7 +189,7 @@ def ideal_of_torus_set(T: TorusSubset, tol: float = DEFAULT_TOL):
     """The largest ideal whose transforms vanish on T, written as an
     intersection of canonical ideals (one per orbit/root)."""
     from .reps_ideals import (  # reps_ideals imports this module
-        canonical_px, canonical_px_lambda, canonical_qx, intersection_ideal,
+        canonical_px_lambda, intersection_ideal, orbit_kernel,
     )
     system = T.system
     parts: list = []
@@ -208,8 +203,7 @@ def ideal_of_torus_set(T: TorusSubset, tol: float = DEFAULT_TOL):
         if p is None or roots is None:
             if e.point not in whole:
                 whole.append(e.point)
-                parts.append(canonical_px(system, e.point) if p is None
-                             else canonical_qx(system, e.point))
+                parts.append(orbit_kernel(system, e.point))
             continue
         for mu in roots:
             lam = complex(mu) ** p
@@ -299,13 +293,12 @@ def zeros_nonempty_report(I, tol: float = DEFAULT_TOL) -> ZerosReport:
     """
     Z = zeros_of_ideal(I, tol)
     for e in Z.entries:
-        if lamset_is_empty(e.lamset):
-            continue
         roots = lamset_roots(e.lamset)
-        mu = (1 + 0j) if roots is None else roots[0]
-        return ZerosReport(True, (e.point, mu),
-                           "contained in a canonical representation kernel at the witness",
-                           Z)
+        if roots != []:
+            mu = (1 + 0j) if roots is None else roots[0]
+            return ZerosReport(True, (e.point, mu),
+                               "contained in a canonical representation kernel at the witness",
+                               Z)
     return ZerosReport(False, None,
                        "no canonical representation kernel contains the ideal", Z)
 

@@ -279,6 +279,9 @@ class UnionSystem:
     def exceptional_ints(self, f: Func) -> set:
         return set().union(*(c.exceptional_ints(p) for c, p in zip(self.components, f.data)))
 
+    def character(self, m: int) -> Func:
+        raise UnsupportedQueryError("character averaging runs on the rotation model")
+
     # random functions, for the property suites
 
     def random_func(self, rng, draw) -> Func:

@@ -171,6 +171,22 @@ def test_number_fuzz_exits_with_a_known_code(capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["behaviour", "--ideal", "Pxl(0, 2)"],
+    ["member", "--ideal", "Pxl(0, 2)", "--elem", "f{0:1,1:1,2:1} + f{0:-2,1:-2,2:-2}*d^3"],
+    ["zeros", "--ideal", "Pxl(0, 2)"],
+    ["transform", "--elem", "d^-1", "--point", "0", "--lam", "2"],
+    ["rep", "--elem", "d^-1", "--point", "0", "--lam", "2"],
+    ["member", "--ideal", "Pxl(0, 0)", "--elem", "1"],
+], ids=["behaviour", "member", "zeros", "transform", "rep", "zero"])
+def test_a_torus_parameter_off_the_circle_is_an_error(argv, capsys):
+    # unchecked, these printed a witness that member denied, the cube roots of unity
+    # as the zero set, and 2 as the transform of d^-1 at 2
+    assert run_command(["--config", str(DATA / "cycle3_exact.cfg"), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "off the unit circle" in captured.err
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "1e400"])
 def test_a_tolerance_must_be_finite_and_not_negative(tol, tmp_path, monkeypatch, capsys):
     hull = ["hull", "--ideal", "gen(f{0:0,1:1,2:1e-12})"]

@@ -1,10 +1,10 @@
 """Each ideal handle answers for itself, no type is a placeholder, the
 library runs without numpy, and a cold start generates no code.
 
-Guards over the library source, read with ``ast``: the ideal modules never
-ask a handle for its class (each kind answers through its methods), the
-parser neither asks a system for its class nor imports a model's module
-(each system class reads its own syntax), no module binds a type name to ``object`` in place of a real class, no module
+Guards over the library source, read with ``ast``: no module asks an ideal
+handle, a system or a lambda set for its class (each answers through its
+methods), the parser imports no model's module (each system class reads
+its own syntax), no module binds a type name to ``object`` in place of a real class, no module
 imports numpy, and no module imports ``dataclasses`` or calls ``exec``,
 ``eval`` or ``compile``.  Fresh interpreters check what
 ``import crossedprod.cli`` loads, that a command which finds
@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crossedprod"
-HANDLE_MODULES = ("reps_ideals.py", "hullkernel.py", "transform.py", "parsing.py")
 
 
 def isinstance_sites(source: str, hit) -> list[int]:
@@ -44,6 +43,12 @@ def is_ideal_class(name: str) -> bool:
 
 def is_system_class(name: str) -> bool:
     return name.endswith("System")
+
+
+def is_dispatch_class(name: str) -> bool:
+    """An ideal handle, system or lambda set class: each answers for itself."""
+    return (is_ideal_class(name) or is_system_class(name)
+            or name in ("FullCircle", "FiniteRoots", "PolynomialRoots"))
 
 
 MODEL_MODULES = {"finite", "shift", "rotation", "union"}
@@ -77,8 +82,10 @@ def test_guards_find_what_they_look_for():
            "isinstance(I, (PxIdeal, int))\n"
            "isinstance(S, FiniteSet)\n"
            "def f():\n    Local = object\n    return isinstance(I, IdealHandle)\n"
-           "isinstance(I, ri.QxIdeal)\n")
+           "isinstance(I, ri.QxIdeal)\n"
+           "isinstance(ls, (FullCircle, tr.PolynomialRoots)) or isinstance(r, FiniteRootsLike)\n")
     assert sorted(isinstance_sites(src, is_ideal_class)) == [2, 6, 7]
+    assert sorted(isinstance_sites(src, is_dispatch_class)) == [2, 6, 7, 8]
     assert object_placeholders(src) == [1]
     src = ("isinstance(s, FiniteSystem)\n"
            "isinstance(s, (int, dynsys.UnionSystem))\n"
@@ -92,10 +99,10 @@ def test_guards_find_what_they_look_for():
     assert model_imports(src) == [4, 5, 6, 8]
 
 
-def test_ideal_modules_do_not_branch_on_the_handle_class():
-    found = {name: isinstance_sites((SRC / name).read_text(), is_ideal_class)
-             for name in HANDLE_MODULES}
-    assert not any(found.values()), f"isinstance against ideal classes: {found}"
+def test_no_module_branches_on_a_handle_system_or_lambda_set_class():
+    found = {path.name: isinstance_sites(path.read_text(), is_dispatch_class)
+             for path in sorted(SRC.glob("*.py"))}
+    assert not any(found.values()), f"isinstance against dispatch classes: {found}"
 
 
 def test_the_parser_names_no_model():

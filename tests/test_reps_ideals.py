@@ -7,8 +7,8 @@ import pytest
 
 from crossedprod import scalars as sc
 from crossedprod.algebra import (
-    alg_adj, alg_mul, delta_power, element, elem_close, from_func,
-    unit, zero_element,
+    alg_adj, alg_mul, delta_power, dual_action, element, elem_close, fourier_eval,
+    from_func, unit, zero_element,
 )
 from crossedprod.dynsys import (
     INF, FiniteSet, FiniteSystem, ShiftSet, apply_sigma,
@@ -385,3 +385,34 @@ def test_canonical_constructor_validation(cycle3, shift):
         canonical_qx(shift, pt(3))
     with pytest.raises(UnsupportedQueryError):
         canonical_px_lambda(shift, pt(3), 1j)
+
+
+EXACT_CIRCLE = [sc.qc(1), sc.qc(0, 1), sc.qc(Fraction(3, 5), Fraction(4, 5))]
+
+
+@pytest.mark.parametrize("lam", EXACT_CIRCLE + [0.6 + 0.8j, cmath.exp(0.7j)],
+                         ids=["1", "i", "3/5+4/5i", "0.6+0.8i", "exp(0.7i)"])
+def test_torus_parameters_on_the_circle_are_accepted(cycle3, lam):
+    exact = sc.is_exact(lam)
+    d, dinv = delta_power(cycle3, 1, exact), delta_power(cycle3, -1, exact)
+    prod = to_numpy(rep_periodic(cycle3, pt(0), lam, d)) @ \
+        to_numpy(rep_periodic(cycle3, pt(0), lam, dinv))
+    assert np.allclose(prod, np.eye(3), atol=1e-12)
+    assert ideal_member(canonical_px_lambda(cycle3, pt(0), lam), escape_element(
+        one_func(cycle3, exact), lam, 3))
+    assert abs(complex(fourier_eval(dinv, pt(0), lam)) - 1 / complex(lam)) < 1e-12
+    assert elem_close(alg_mul(dual_action(d, lam), dual_action(dinv, lam)), unit(cycle3, exact))
+
+
+@pytest.mark.parametrize("lam", [sc.qc(2), sc.qc(0), sc.qc(Fraction(3, 5), Fraction(4, 7)),
+                                 2 + 0j, 0j, 1.00001 + 0j],
+                         ids=["2", "0", "3/5+4/7i", "2.0", "0.0", "1.00001"])
+def test_a_torus_parameter_off_the_circle_is_refused(cycle3, lam):
+    # off the circle the conjugate is no inverse, so every answer would be wrong
+    d = delta_power(cycle3, -1, sc.is_exact(lam))
+    for call in (lambda: canonical_px_lambda(cycle3, pt(0), lam),
+                 lambda: rep_periodic(cycle3, pt(0), lam, d),
+                 lambda: fourier_eval(d, pt(0), lam),
+                 lambda: dual_action(d, lam)):
+        with pytest.raises(ValueError, match="off the unit circle"):
+            call()
