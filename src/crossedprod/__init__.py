@@ -16,12 +16,12 @@ _PUBLIC = {
     "algebra": """Element alg_add alg_adj alg_mul alg_neg alg_norm alg_scale alg_sub
         delta_power dual_action dual_average elem_close elem_is_zero element expectation
         fourier_eval from_func unit zero_element""",
-    "dynsys": """INF CircleSet FiniteSet Point ShiftSet UnionSet apply_sigma is_free
-        is_minimal orbit_closure orbit_points period pt whole_space empty_set""",
-    "finite": "FiniteSystem",
-    "shift": "ShiftSystem",
-    "rotation": "GOLDEN_CONJUGATE RotationSystem Surd",
-    "union": "UnionSystem",
+    "dynsys": """INF Point apply_sigma is_free is_minimal orbit_closure orbit_points period
+        pt whole_space empty_set""",
+    "finite": "FiniteSet FiniteSystem",
+    "shift": "ShiftSet ShiftSystem",
+    "rotation": "CircleSet GOLDEN_CONJUGATE RotationSystem Surd",
+    "union": "UnionSet UnionSystem",
     "errors": """CrossedProdError ModeMismatchError ParseError SystemMismatchError
         UnsupportedQueryError""",
     "funcspace": """Func const_func f_add f_algnorm f_compose_sigma f_conj f_eval f_mul

@@ -15,7 +15,7 @@ from .algebra import (
 )
 from .errors import UnsupportedQueryError
 from .funcspace import (
-    f_add, f_compose_sigma, f_conj, f_is_zero, f_mul, f_sub,
+    f_add, f_compose_sigma, f_conj, f_is_zero, f_mul, f_sub, f_zero_set,
     zero_func,
 )
 from .galois import (
@@ -160,7 +160,6 @@ def _galois_samples(system, kind: str, seed: int, count: int):
     if kind == "hk":
         fams = [tuple(random_func(system, rng) for _ in range(rng.randint(1, 3)))
                 for _ in range(count)]
-        from .funcspace import f_zero_set
         subs = [f_zero_set(random_func(system, rng)) for _ in range(max(2, count // 2))]
         return classical_pair(system), fams, subs
     handles = canonical_handles(system)
@@ -188,11 +187,11 @@ def suite_galois(system, kind: str, seed: int, count: int = 40) -> CheckReport:
 
 
 SUITES = {
-    "algebra.axioms": lambda system, exact, seed, tol: suite_algebra_axioms(system, exact, seed, tol),
-    "expectation.laws": lambda system, exact, seed, tol: suite_expectation(system, exact, seed, tol),
-    "reps.kernel": lambda system, exact, seed, tol: suite_reps_kernel(system, exact, seed, tol),
-    "dual.average": lambda system, exact, seed, tol: suite_dual_average(system, exact, seed, tol),
-    "inclusion.table": lambda system, exact, seed, tol: suite_inclusion_table(system, exact, seed, tol),
+    "algebra.axioms": suite_algebra_axioms,
+    "expectation.laws": suite_expectation,
+    "reps.kernel": suite_reps_kernel,
+    "dual.average": suite_dual_average,
+    "inclusion.table": suite_inclusion_table,
     "galois.hk": lambda system, exact, seed, tol: suite_galois(system, "hk", seed),
     "galois.HK": lambda system, exact, seed, tol: suite_galois(system, "HK", seed),
     "galois.ZI": lambda system, exact, seed, tol: suite_galois(system, "ZI", seed),

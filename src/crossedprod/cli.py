@@ -20,12 +20,10 @@ from .algebra import alg_adj, alg_mul, alg_norm, expectation, fourier_eval
 from .dynsys import is_free, is_minimal, is_periodic
 from .errors import CrossedProdError, ParseError, UnsupportedQueryError
 from .parsing import (
-    SystemConfig, fmt_real, parse_config, parse_elem, parse_ideal,
-    parse_point, parse_scalar_text, parse_set, parse_torus, render_element,
-    render_func, render_ideal, render_point, render_scalar, render_set,
-    render_torus,
+    SystemConfig, parse_config, parse_elem, parse_ideal, parse_point,
+    parse_scalar_text, parse_set, parse_torus,
 )
-from .scalars import check_tolerance
+from .scalars import check_tolerance, fmt_real, render_scalar
 
 DEFAULT_TOL_ENV = "CROSSEDPROD_TOL"
 # The keys of checks.SUITES, written out so that building the parser does
@@ -80,6 +78,12 @@ def _tol(args, cfg: SystemConfig) -> float:
     if env:
         return check_tolerance(env, f"${DEFAULT_TOL_ENV}")
     return cfg.tolerance
+
+
+def _set_count(rep) -> str:
+    """A minimality report's invariant closed set count, or "infinite"."""
+    n = rep.invariant_closed_set_count
+    return "infinite" if n is None else str(n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,17 +189,17 @@ def _dispatch(args, cfg: SystemConfig) -> int:
     # each branch imports the layers it calls, so a call loads only those
     if args.command == "eval":
         a = parse_elem(args.elem, system, exact)
-        out.add(render_element(a))
+        out.add(repr(a))
     elif args.command == "mul":
         a = parse_elem(args.a, system, exact)
         b = parse_elem(args.b, system, exact)
-        out.add(render_element(alg_mul(a, b)))
+        out.add(repr(alg_mul(a, b)))
     elif args.command == "adj":
-        out.add(render_element(alg_adj(parse_elem(args.elem, system, exact))))
+        out.add(repr(alg_adj(parse_elem(args.elem, system, exact))))
     elif args.command == "norm":
         out.add(fmt_real(alg_norm(parse_elem(args.elem, system, exact))))
     elif args.command == "e0":
-        out.add(render_func(expectation(parse_elem(args.elem, system, exact))))
+        out.add(repr(expectation(parse_elem(args.elem, system, exact))))
     elif args.command == "transform":
         a = parse_elem(args.elem, system, exact)
         x = parse_point(args.point, system)
@@ -231,43 +235,42 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         kinds = {"well": "well behaved", "bad": "badly behaved", "plain": "plain"}
         wit = []
         if rep.escape_function is not None:
-            wit.append(f"escaping zero coefficient {render_func(rep.escape_function)}")
+            wit.append(f"escaping zero coefficient {rep.escape_function!r}")
         if rep.escape_element is not None:
-            wit.append(f"member {render_element(rep.escape_element)}")
+            wit.append(f"member {rep.escape_element!r}")
         out.add(kinds[rep.kind], tuple(wit))
     elif args.command == "hull":
         from .hullkernel import hull
         I = parse_ideal(args.ideal, system, exact)
         h = hull(I, tol)
-        out.add(render_set(h.subset), tuple(h.provenance))
+        out.add(repr(h.subset), tuple(h.provenance))
     elif args.command == "kernel":
         from .reps_ideals import kernel_ideal
         S = parse_set(args.set, system)
-        out.add(render_ideal(kernel_ideal(system, S)))
+        out.add(repr(kernel_ideal(system, S)))
     elif args.command == "decompose":
         from .hullkernel import decompose_as_intersection
         from .reps_ideals import intersection_ideal
         S = parse_set(args.set, system)
-        out.add(render_ideal(intersection_ideal(system, decompose_as_intersection(system, S))))
+        out.add(repr(intersection_ideal(system, decompose_as_intersection(system, S))))
     elif args.command == "zeros":
         from .transform import zeros_nonempty_report
         I = parse_ideal(args.ideal, system, exact)
         rep = zeros_nonempty_report(I, tol)
-        out.add(render_torus(rep.zeros))
+        out.add(repr(rep.zeros))
         if rep.nonempty:
             x, mu = rep.witness
-            out.add("nonempty", (f"point {render_point(x)}",
-                                 f"parameter {render_scalar(mu)}", rep.note))
+            out.add("nonempty", (f"point {x!r}", f"parameter {render_scalar(mu)}", rep.note))
         else:
             out.add("empty", (rep.note,))
     elif args.command == "isynth":
         from .transform import ideal_of_torus_set
         T = parse_torus(args.torus, system, exact)
-        out.add(render_ideal(ideal_of_torus_set(T, tol)))
+        out.add(repr(ideal_of_torus_set(T, tol)))
     elif args.command == "zi":
         from .transform import zi_closure
         I = parse_ideal(args.ideal, system, exact)
-        out.add(render_ideal(zi_closure(I, tol)))
+        out.add(repr(zi_closure(I, tol)))
     elif args.command == "avg":
         from .synthesis import drive_to_E
         a = parse_elem(args.elem, system, exact)
@@ -291,26 +294,22 @@ def _dispatch(args, cfg: SystemConfig) -> int:
     elif args.command == "minimality":
         from .hullkernel import minimality_dichotomy
         rep = minimality_dichotomy(system)
-        count = "infinite" if rep.invariant_closed_set_count is None \
-            else str(rep.invariant_closed_set_count)
-        out.add(f"minimal={'true' if rep.minimal else 'false'} invariant_closed_sets={count}")
+        out.add(f"minimal={'true' if rep.minimal else 'false'} "
+                f"invariant_closed_sets={_set_count(rep)}")
         if rep.sets is not None:
             for S in rep.sets:
-                out.add(f"  set {render_set(S)}")
+                out.add(f"  set {S!r}")
     elif args.command == "report":
         from .hullkernel import minimality_dichotomy
         from .synthesis import dichotomy_report
         free = is_free(system)
         out.add(f"free={'true' if free else 'false'} minimal={'true' if is_minimal(system) else 'false'}")
-        mrep = minimality_dichotomy(system)
-        count = "infinite" if mrep.invariant_closed_set_count is None \
-            else str(mrep.invariant_closed_set_count)
-        out.add(f"well_behaved_closed_ideals={count}")
+        out.add(f"well_behaved_closed_ideals={_set_count(minimality_dichotomy(system))}")
         drep = dichotomy_report(system)
         if not drep.free:
             out.add("dichotomy: not free",
-                    (f"periodic point {render_point(drep.witness_point)}",
-                     f"escaping coefficient {render_func(drep.escape_function)}"))
+                    (f"periodic point {drep.witness_point!r}",
+                     f"escaping coefficient {drep.escape_function!r}"))
         else:
             note = drep.note
             if drep.averaging is not None:

@@ -1,15 +1,18 @@
-"""Points, closed sets and functions of desk-scale dynamical systems.
+"""Points and functions of desk-scale dynamical systems.
 
-Four models are supported, each a class in its own module: a finite
+Four models are supported, each a system class in its own module: a finite
 permutation system, the one-point compactification of the integer shift, a
 circle rotation (with a declared irrationality flag), and finite disjoint
-unions of these.  Each system class owns its model: point checks and sigma
-iteration, closed subsets in a normal form closed under the set algebra the
-hull/kernel machinery needs, the kernels of the function model
-:class:`Func`, and the syntax of its config declaration, function literal
-and set words, both written and read.  This module holds what the models
-share, resolves their classes by name on first use (the parser finds a
-declared model's class that way), and has the checked entry points.
+unions of these.  Each model module holds its system class and its closed
+set class, in a normal form closed under the set algebra the hull/kernel
+machinery needs.  The system class owns its model: point checks and sigma
+iteration, the set algebra, the kernels of the function model :class:`Func`,
+and the syntax of its config declaration, function literal and set
+literals, both written and read.  This module holds what the models share
+(points, :class:`Func`, the leaf defaults), resolves each model's classes by
+name on first use (the parser finds a declared model's class that way, and
+``dynsys.FiniteSet`` and the like still answer), and has the checked entry
+points.
 
 The ``repr`` of a point, a closed set or a function is its literal in the
 grammar of :mod:`.parsing`, which reads it back through the shared readers
@@ -28,9 +31,6 @@ from . import scalars as sc
 from .errors import SystemMismatchError, UnsupportedQueryError
 from .records import record
 
-TURN_TOL = 1e-9
-
-
 
 class _Infinity:
     """Marker for the fixed point at infinity of the compactified shift."""
@@ -47,7 +47,6 @@ class _Infinity:
 
 
 INF = _Infinity()
-
 
 
 # ---------------------------------------------------------------------------
@@ -85,81 +84,6 @@ def pt(coord, *path) -> Point:
 
 def in_component(index: int, x: Point) -> Point:
     return Point(x.coord, (index,) + x.path)
-
-
-def turns_eq(a, b, tol: float = TURN_TOL) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return (a - b) % 1 == 0
-    d = (float(a) - float(b)) % 1.0
-    return d <= tol or 1.0 - d <= tol
-
-
-# ---------------------------------------------------------------------------
-# Closed sets
-
-
-@record
-class FiniteSet:
-    points: frozenset
-
-    def __repr__(self):
-        return "{" + ",".join(str(i) for i in sorted(self.points)) + "}"
-
-    def is_empty(self) -> bool:
-        return not self.points
-
-
-@record
-class ShiftSet:
-    """Closed subset of the compactified shift.
-
-    Normal forms: a finite set of integers with an optional infinity flag,
-    or (cofinite=True) the complement of a finite integer set together
-    with infinity.  Any infinite closed set must contain infinity, which
-    the cofinite form enforces by construction.
-    """
-
-    ints: frozenset
-    has_inf: bool = False
-    cofinite: bool = False
-
-    def __post_init__(self):
-        if self.cofinite and not self.has_inf:
-            raise ValueError("cofinite shift sets contain infinity")
-
-    def __repr__(self):
-        ints = ",".join(str(i) for i in sorted(self.ints))
-        if self.cofinite:
-            return "co{" + ints + "}"
-        return "{" + (("inf," + ints) if self.has_inf else ints).rstrip(",") + "}"
-
-    def is_empty(self) -> bool:
-        return not self.cofinite and not self.ints and not self.has_inf
-
-
-@record
-class CircleSet:
-    whole: bool
-    turns: tuple = ()
-
-    def __repr__(self):
-        if self.whole:
-            return "circle"
-        return "{" + ",".join(map(sc.fmt_real, self.turns)) + "}"
-
-    def is_empty(self) -> bool:
-        return not self.whole and not self.turns
-
-
-@record
-class UnionSet:
-    parts: tuple
-
-    def __repr__(self):
-        return "u[" + "; ".join(repr(p) for p in self.parts) + "]"
-
-    def is_empty(self) -> bool:
-        return all(p.is_empty() for p in self.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +221,15 @@ class _Leaf:
         raise UnsupportedQueryError("character averaging runs on the rotation model")
 
 
-_MODELS = {"FiniteSystem": "finite", "ShiftSystem": "shift", "RotationSystem": "rotation",
-           "Surd": "rotation", "GOLDEN_CONJUGATE": "rotation", "UnionSystem": "union"}
+_MODELS = {name: module for module, names in {
+    "finite": "FiniteSystem FiniteSet", "shift": "ShiftSystem ShiftSet",
+    "rotation": "RotationSystem CircleSet Surd GOLDEN_CONJUGATE turns_eq TURN_TOL",
+    "union": "UnionSystem UnionSet"}.items() for name in names.split()}
 
 
 def __getattr__(name):
-    """A model class (or the rotation's angle type), from its own module."""
+    """A model's system or set class (or the rotation's angle type and turn
+    comparison), from the model's own module."""
     if name not in _MODELS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(import_module(f".{_MODELS[name]}", __package__), name)

@@ -5,9 +5,20 @@ from __future__ import annotations
 import math
 
 from . import scalars as sc
-from .dynsys import FiniteSet, Func, Point, _func, _Leaf
+from .dynsys import Func, Point, _func, _Leaf
 from .errors import SystemMismatchError, UnsupportedQueryError
 from .records import record
+
+
+@record
+class FiniteSet:
+    points: frozenset
+
+    def __repr__(self):
+        return "{" + ",".join(str(i) for i in sorted(self.points)) + "}"
+
+    def is_empty(self) -> bool:
+        return not self.points
 
 
 @record

@@ -1,4 +1,4 @@
-"""Parsers for system configs, element expressions and ideal literals.
+"""Parsers for system configs, element expressions, sets, ideals and torus sets.
 
 Config grammar (line oriented, braces for nesting):
 
@@ -28,19 +28,21 @@ Element expression grammar:
 INT is an optionally negative run of digits: a decimal or a fraction in an
 INT slot is a parse error.  Numbers and names are ASCII.
 
+Set literals: all | empty | circle | {points} | co{INT, ...} | u[set; ...].
 Ideal literals: Px(point), Pxl(point, scalar), Qx(point), K(set),
 meet(ideal, ...) or meet(), gen(expr, ...).
-Set literals: all | empty | circle | {points} | co{INT, ...} | u[set; ...].
 Torus literals: t[entry; ...] with entry = point "*"? ":" lamdesc and
 lamdesc = full | roots{scalar, ...} | poly{scalar, ...}.
 
 This module reads what the models share: tokens, numbers, scalars, points,
-element expressions, ideal and torus literals and the all/empty/brace sets.
-Each system class reads the rest of its own syntax next to the code that
-writes it (``kind`` and ``read_declaration`` for its declaration,
-``func_tag`` and ``read_func`` for its function literal, ``set_words`` and
-``read_set`` for its set literals), through the :class:`_Stream` methods
-below; a tag or set word of another model is refused here, in one place.
+element expressions and the all/empty/brace sets.  Each system class reads
+the rest of its own syntax next to the code that writes it (``kind`` and
+``read_declaration`` for its declaration, ``func_tag`` and ``read_func``
+for its function literal, ``set_words`` and ``read_set`` for its set
+literals), through the :class:`_Stream` methods below; a tag or set word of
+another model is refused here, in one place.  The ideal and transform
+layers read their literals the same way (``reps_ideals.read_ideal``,
+``transform.read_torus``); ``parse_ideal`` and ``parse_torus`` load them.
 
 Every value these parsers build prints its own literal as its ``repr``, so
 ``parse_*(repr(v))`` gives ``v`` back; the ``render_*`` names here are
@@ -103,7 +105,7 @@ def _tokenize(src: str) -> list[Token]:
 
 class _Stream:
     """A token stream with the readers the grammar's productions share; the
-    system classes read their own syntax through these methods."""
+    models and the ideal and transform layers read their own syntax through them."""
 
     def __init__(self, src: str):
         self.toks = _tokenize(src)
@@ -236,6 +238,76 @@ class _Stream:
             self.fail("integer point expected", at=t)
         return coord
 
+    def point(self, system) -> Point:
+        """A point of the system: its union path (c INT ':' per level), then a coordinate."""
+        path = []
+        while self.peek().kind == "name" and self.peek().text.startswith("c") \
+                and self.peek().text[1:].isdigit():
+            path.append(int(self.next().text[1:]))
+            self.expect(":")
+        x = Point(self.coord(system.leaf(tuple(path))), tuple(path))
+        validate_point(system, x)
+        return x
+
+    # element expressions
+
+    def expr(self, system, exact: bool) -> Element:
+        e = self._term(system, exact)
+        while True:
+            if self.accept("+"):
+                e = alg_add(e, self._term(system, exact))
+            elif self.accept("-"):
+                e = alg_sub(e, self._term(system, exact))
+            else:
+                return e
+
+    def _term(self, system, exact: bool) -> Element:
+        e = self._factor(system, exact)
+        while self.accept("*"):
+            e = alg_mul(e, self._factor(system, exact))
+        return e
+
+    def _factor(self, system, exact: bool) -> Element:
+        a = self._atom(system, exact)
+        if self.accept("^"):
+            neg = self.accept("-") is not None
+            t = self.expect("num", "integer exponent")
+            if not t.text.isdigit():
+                self.fail("integer exponent expected", at=t)
+            n = int(t.text)
+            if neg:
+                inv = _try_invert(a)
+                if inv is None:
+                    self.fail("negative power of a non-invertible element", at=t)
+                a = inv
+            out = unit(system, exact)
+            for _ in range(n):
+                out = alg_mul(out, a)
+            return out
+        return a
+
+    def _atom(self, system, exact: bool) -> Element:
+        t = self.peek()
+        if t.kind == "(":
+            self.next()
+            e = self.expr(system, exact)
+            self.expect(")")
+            return e
+        if t.kind == "num" or t.kind in "+-" or (t.kind == "name" and t.text == "i"):
+            return alg_scale(self.signed_part(exact), unit(system, exact))
+        if t.kind == "name":
+            if self.word("d"):
+                return delta_power(system, 1, exact)
+            if t.text in ("adj", "E"):
+                self.next()
+                self.expect("(")
+                e = self.expr(system, exact)
+                self.expect(")")
+                return alg_adj(e) if t.text == "adj" else from_func(expectation(e))
+            if t.text in _FUNC_TAGS:
+                return from_func(self.func(system, exact))
+        self.fail(expected=("scalar", "function literal", "d", "adj", "E", "("))
+
     # the syntax each model owns, behind one check that it is the model's own
 
     def sysdecl(self):
@@ -344,18 +416,7 @@ def parse_scalar_text(text: str, exact: bool):
 
 
 def parse_point(text: str, system) -> Point:
-    return _read(text, lambda s: _parse_point(s, system), "point")
-
-
-def _parse_point(s: _Stream, system) -> Point:
-    path = []
-    while s.peek().kind == "name" and s.peek().text.startswith("c") \
-            and s.peek().text[1:].isdigit():
-        path.append(int(s.next().text[1:]))
-        s.expect(":")
-    x = Point(s.coord(system.leaf(tuple(path))), tuple(path))
-    validate_point(system, x)
-    return x
+    return _read(text, lambda s: s.point(system), "point")
 
 
 # ---------------------------------------------------------------------------
@@ -363,46 +424,8 @@ def _parse_point(s: _Stream, system) -> Point:
 
 
 def parse_elem(text: str, system, exact: bool = False) -> Element:
-    return _read(text, lambda s: _parse_expr(s, system, exact), "expression",
+    return _read(text, lambda s: s.expr(system, exact), "expression",
                  ("+", "-", "*", "^", "end of input"))
-
-
-def _parse_expr(s: _Stream, system, exact) -> Element:
-    e = _parse_term(s, system, exact)
-    while True:
-        if s.accept("+"):
-            e = alg_add(e, _parse_term(s, system, exact))
-        elif s.accept("-"):
-            e = alg_sub(e, _parse_term(s, system, exact))
-        else:
-            return e
-
-
-def _parse_term(s: _Stream, system, exact) -> Element:
-    e = _parse_factor(s, system, exact)
-    while s.accept("*"):
-        e = alg_mul(e, _parse_factor(s, system, exact))
-    return e
-
-
-def _parse_factor(s: _Stream, system, exact) -> Element:
-    a = _parse_atom(s, system, exact)
-    if s.accept("^"):
-        neg = s.accept("-") is not None
-        t = s.expect("num", "integer exponent")
-        if not t.text.isdigit():
-            s.fail("integer exponent expected", at=t)
-        n = int(t.text)
-        if neg:
-            inv = _try_invert(a)
-            if inv is None:
-                s.fail("negative power of a non-invertible element", at=t)
-            a = inv
-        out = unit(system, exact)
-        for _ in range(n):
-            out = alg_mul(out, a)
-        return out
-    return a
 
 
 def _try_invert(a: Element) -> Element | None:
@@ -416,29 +439,6 @@ def _try_invert(a: Element) -> Element | None:
     return Element(a.system, {-k: f_compose_sigma(inv, k)})
 
 
-def _parse_atom(s: _Stream, system, exact) -> Element:
-    t = s.peek()
-    if t.kind == "(":
-        s.next()
-        e = _parse_expr(s, system, exact)
-        s.expect(")")
-        return e
-    if t.kind == "num" or t.kind in "+-" or (t.kind == "name" and t.text == "i"):
-        return alg_scale(s.signed_part(exact), unit(system, exact))
-    if t.kind == "name":
-        if s.word("d"):
-            return delta_power(system, 1, exact)
-        if t.text in ("adj", "E"):
-            s.next()
-            s.expect("(")
-            e = _parse_expr(s, system, exact)
-            s.expect(")")
-            return alg_adj(e) if t.text == "adj" else from_func(expectation(e))
-        if t.text in _FUNC_TAGS:
-            return from_func(s.func(system, exact))
-    s.fail(expected=("scalar", "function literal", "d", "adj", "E", "("))
-
-
 # ---------------------------------------------------------------------------
 # Closed set literals
 
@@ -448,82 +448,17 @@ def parse_set(text: str, system):
 
 
 # ---------------------------------------------------------------------------
-# Ideal literals
+# Ideal and torus literals, read by their layers (an element call loads neither)
 
 
 def parse_ideal(text: str, system, exact: bool = False):
-    return _read(text, lambda s: _parse_ideal(s, system, exact), "ideal")
-
-
-def _parse_ideal(s: _Stream, system, exact):
-    from . import reps_ideals as ri
-    t = s.expect_name("Px", "Pxl", "Qx", "K", "meet", "gen")
-    s.expect("(")
-    if t.text == "Px":
-        x = _parse_point(s, system)
-        s.expect(")")
-        return ri.canonical_px(system, x)
-    if t.text == "Pxl":
-        x = _parse_point(s, system)
-        s.expect(",")
-        lam = s.scalar(exact)
-        s.expect(")")
-        return ri.canonical_px_lambda(system, x, lam)
-    if t.text == "Qx":
-        x = _parse_point(s, system)
-        s.expect(")")
-        return ri.canonical_qx(system, x)
-    if t.text == "K":
-        S = s.set(system)
-        s.expect(")")
-        return ri.kernel_ideal(system, S)
-    if t.text == "meet":  # meet() is the meet of no ideals: the whole algebra
-        parts = [] if s.peek().kind == ")" else [_parse_ideal(s, system, exact)]
-        while s.accept(","):
-            parts.append(_parse_ideal(s, system, exact))
-        s.expect(")")
-        return ri.intersection_ideal(system, parts)
-    gens = [_parse_expr(s, system, exact)]
-    while s.accept(","):
-        gens.append(_parse_expr(s, system, exact))
-    s.expect(")")
-    return ri.generated_ideal(system, gens)
-
-
-# ---------------------------------------------------------------------------
-# Torus subset literals
+    from .reps_ideals import read_ideal
+    return _read(text, lambda s: read_ideal(s, system, exact), "ideal")
 
 
 def parse_torus(text: str, system, exact: bool = False):
-    return _read(text, lambda s: _parse_torus(s, system, exact), "torus set")
-
-
-def _parse_torus(s: _Stream, system, exact):
-    from .transform import TorusEntry, TorusSubset
-    s.expect_name("t")
-    s.expect("[")
-    entries = []
-    if not s.accept("]"):
-        while True:
-            x = _parse_point(s, system)
-            closure = s.accept("*") is not None
-            s.expect(":")
-            entries.append(TorusEntry(x, _parse_lamdesc(s, exact), use_closure=closure))
-            if s.accept("]"):
-                break
-            s.expect(";")
-    return TorusSubset(system, tuple(entries))
-
-
-def _parse_lamdesc(s: _Stream, exact):
-    from .transform import FiniteRoots, FullCircle, PolynomialRoots
-    t = s.expect_name("full", "roots", "poly")
-    if t.text == "full":
-        return FullCircle()
-    vals = [complex(v) for v in s.braced(lambda: s.scalar(False))]
-    if t.text == "roots":
-        return FiniteRoots(tuple(vals))
-    return PolynomialRoots(tuple(vals))
+    from .transform import read_torus
+    return _read(text, lambda s: read_torus(s, system, exact), "torus set")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Ideals are never materialised as subspaces: every ideal handle is a
 membership oracle plus structural data, and all containment questions
-reduce to orbit data or to finitely many exact vanishing conditions.
+reduce to orbit data or to finitely many exact vanishing conditions.  A
+handle's ``repr`` is its literal, which :func:`read_ideal` reads back.
 """
 
 from __future__ import annotations
@@ -451,6 +452,39 @@ def generated_ideal(system, gens) -> GeneratedIdeal:
         if g.system != system:
             raise SystemMismatchError("generator on the wrong system")
     return GeneratedIdeal(system, gens)
+
+
+def read_ideal(s, system, exact: bool) -> IdealHandle:
+    """An ideal literal from the token stream s, as the handles' reprs write
+    it: Px(point), Pxl(point, scalar), Qx(point), K(set), meet(ideal, ...)
+    or meet(), gen(expr, ...)."""
+    t = s.expect_name("Px", "Pxl", "Qx", "K", "meet", "gen")
+    s.expect("(")
+    if t.text in ("Px", "Qx"):
+        x = s.point(system)
+        s.expect(")")
+        return (canonical_px if t.text == "Px" else canonical_qx)(system, x)
+    if t.text == "Pxl":
+        x = s.point(system)
+        s.expect(",")
+        lam = s.scalar(exact)
+        s.expect(")")
+        return canonical_px_lambda(system, x, lam)
+    if t.text == "K":
+        S = s.set(system)
+        s.expect(")")
+        return kernel_ideal(system, S)
+    if t.text == "meet":  # meet() is the meet of no ideals: the whole algebra
+        parts = [] if s.peek().kind == ")" else [read_ideal(s, system, exact)]
+        while s.accept(","):
+            parts.append(read_ideal(s, system, exact))
+        s.expect(")")
+        return intersection_ideal(system, parts)
+    gens = [s.expr(system, exact)]
+    while s.accept(","):
+        gens.append(s.expr(system, exact))
+    s.expect(")")
+    return generated_ideal(system, gens)
 
 
 def ideal_member(I: IdealHandle, a: Element, tol: float = DEFAULT_TOL) -> bool:

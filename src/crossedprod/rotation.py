@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 from . import scalars as sc
-from .dynsys import CircleSet, Func, Point, _func, _Leaf, rotation_phase, turns_eq
+from .dynsys import Func, Point, _func, _Leaf, rotation_phase
 from .errors import ModeMismatchError, SystemMismatchError, UnsupportedQueryError
 from .records import record
 
@@ -52,6 +52,30 @@ class Surd:
 
 
 GOLDEN_CONJUGATE = Surd(-1, 1, 5, 2)
+TURN_TOL = 1e-9
+
+
+def turns_eq(a, b, tol: float = TURN_TOL) -> bool:
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return (a - b) % 1 == 0
+    d = (float(a) - float(b)) % 1.0
+    return d <= tol or 1.0 - d <= tol
+
+
+@record
+class CircleSet:
+    """The whole circle, or finitely many points of it as turns."""
+
+    whole: bool
+    turns: tuple = ()
+
+    def __repr__(self):
+        if self.whole:
+            return "circle"
+        return "{" + ",".join(map(sc.fmt_real, self.turns)) + "}"
+
+    def is_empty(self) -> bool:
+        return not self.whole and not self.turns
 
 
 def _circle_points(turns_iter) -> CircleSet:

@@ -61,9 +61,11 @@ def random_member(I: IdealHandle, rng: random.Random, radius: int = 3,
 def canonical_handles(system, lam_values=(1 + 0j, -1 + 0j, 1j),
                       exact: bool = False) -> list[IdealHandle]:
     """All canonical handles over orbit representatives, with the given
-    torus parameters for the periodic families, in the given numeric mode."""
+    torus parameters for the periodic families, in the given numeric mode;
+    an exact parameter is kept as it is, a float one made exact."""
     if exact:
-        lam_values = [sc.qc(lam.real, lam.imag) for lam in map(complex, lam_values)]
+        lam_values = [lam if sc.is_exact(lam) else sc.qc(complex(lam).real, complex(lam).imag)
+                      for lam in lam_values]
     out: list[IdealHandle] = []
     for x in system.orbit_reps():
         out.append(orbit_kernel(system, x))

@@ -3,9 +3,37 @@
 from __future__ import annotations
 
 from . import scalars as sc
-from .dynsys import INF, Func, Point, ShiftSet, _func, _Leaf
+from .dynsys import INF, Func, Point, _func, _Leaf
 from .errors import SystemMismatchError, UnsupportedQueryError
 from .records import record
+
+
+@record
+class ShiftSet:
+    """Closed subset of the compactified shift.
+
+    Normal forms: a finite set of integers with an optional infinity flag,
+    or (cofinite=True) the complement of a finite integer set together
+    with infinity.  Any infinite closed set must contain infinity, which
+    the cofinite form enforces by construction.
+    """
+
+    ints: frozenset
+    has_inf: bool = False
+    cofinite: bool = False
+
+    def __post_init__(self):
+        if self.cofinite and not self.has_inf:
+            raise ValueError("cofinite shift sets contain infinity")
+
+    def __repr__(self):
+        ints = ",".join(str(i) for i in sorted(self.ints))
+        if self.cofinite:
+            return "co{" + ints + "}"
+        return "{" + (("inf," + ints) if self.has_inf else ints).rstrip(",") + "}"
+
+    def is_empty(self) -> bool:
+        return not self.cofinite and not self.ints and not self.has_inf
 
 
 def _shift(system, v_inf, exc: dict, exact: bool) -> Func:

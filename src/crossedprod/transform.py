@@ -3,7 +3,8 @@
 The transform of an element collects the Fourier transforms of its
 coefficient sequences at every point; on a periodic orbit its residue sums
 cut out both a Pxl kernel and a generated ideal's lambda set.  Zero sets
-are stored per orbit as (representative, lambda set) records; the reverse
+are stored per orbit as (representative, lambda set) records, whose
+literals their ``repr``s write and :func:`read_torus` reads; the reverse
 operator rebuilds an ideal as an intersection of canonical ones.
 """
 
@@ -83,6 +84,34 @@ class TorusSubset:
 
     def __repr__(self):
         return "t[" + "; ".join(repr(e) for e in self.entries) + "]"
+
+
+def read_torus(s, system, exact: bool) -> TorusSubset:
+    """A torus literal from the token stream s, as the reprs above write it:
+    t[entry; ...], each entry point "*"? ":" lambda set.  The lambda sets
+    hold float roots and coefficients whatever the mode exact."""
+    s.expect_name("t")
+    s.expect("[")
+    entries = []
+    if not s.accept("]"):
+        while True:
+            x = s.point(system)
+            closure = s.accept("*") is not None
+            s.expect(":")
+            entries.append(TorusEntry(x, _read_lamset(s), use_closure=closure))
+            if s.accept("]"):
+                break
+            s.expect(";")
+    return TorusSubset(system, tuple(entries))
+
+
+def _read_lamset(s):
+    """full, roots{scalar, ...} or poly{scalar, ...}."""
+    t = s.expect_name("full", "roots", "poly")
+    if t.text == "full":
+        return FullCircle()
+    vals = tuple(complex(v) for v in s.braced(lambda: s.scalar(False)))
+    return FiniteRoots(vals) if t.text == "roots" else PolynomialRoots(vals)
 
 
 def lamset_roots(ls) -> list[complex] | None:

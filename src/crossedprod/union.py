@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 from . import scalars as sc
-from .dynsys import Func, Point, UnionSet, _func, in_component
+from .dynsys import Func, Point, _func, in_component
 from .errors import SystemMismatchError, UnsupportedQueryError
 from .records import record
+
+
+@record
+class UnionSet:
+    parts: tuple
+
+    def __repr__(self):
+        return "u[" + "; ".join(repr(p) for p in self.parts) + "]"
+
+    def is_empty(self) -> bool:
+        return all(p.is_empty() for p in self.parts)
 
 
 @record

@@ -4,7 +4,8 @@ library runs without numpy, and a cold start generates no code.
 Guards over the library source, read with ``ast``: no module asks an ideal
 handle, a system or a lambda set for its class (each answers through its
 methods), the parser imports no model's module (each system class reads
-its own syntax), no module binds a type name to ``object`` in place of a real class, no module
+its own syntax) and holds no ideal or torus word (those layers read their
+own literals), each model's set class lives in its model's module, no module binds a type name to ``object`` in place of a real class, no module
 imports numpy, and no module imports ``dataclasses`` or calls ``exec``,
 ``eval`` or ``compile``.  Fresh interpreters check what
 ``import crossedprod.cli`` loads, that a command which finds
@@ -110,6 +111,49 @@ def test_the_parser_names_no_model():
     source = (SRC / "parsing.py").read_text()
     assert isinstance_sites(source, is_system_class) == []
     assert model_imports(source) == []
+
+
+def string_constants(source: str, words) -> list[int]:
+    """Lines of string constants equal to one of words, docstrings left out."""
+    tree = ast.parse(source)
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in words and id(node) not in docs]
+
+
+def set_classes(source: str) -> list[int]:
+    """Lines defining a class whose name ends in ``Set``, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Set")]
+
+
+IDEAL_AND_TORUS_WORDS = {"Px", "Pxl", "Qx", "K", "meet", "gen", "t", "full", "roots", "poly"}
+
+
+def test_literal_guards_find_what_they_look_for():
+    src = ('"""Px(point) and t[...] are read elsewhere."""\n'
+           "def f(s):\n    \"Px\"\n    return s.expect_name(\"Px\", 'gen', \"x\")\n"
+           "class A:\n    'full'\n    word = 'poly' if t else ('t', 'Kx')\n"
+           "class ShiftSet:\n    class InnerSet:\n        pass\n"
+           "UnionSet = 1\nclass Setter:\n    pass\n")
+    assert string_constants(src, IDEAL_AND_TORUS_WORDS) == [4, 4, 7, 7]
+    assert set_classes(src) == [8, 9]
+
+
+def test_each_set_class_lives_in_its_models_module():
+    from crossedprod import CircleSet, FiniteSet, ShiftSet, UnionSet
+    homes = {FiniteSet: "finite", ShiftSet: "shift", CircleSet: "rotation", UnionSet: "union"}
+    assert {cls: cls.__module__ for cls in homes} == {
+        cls: f"crossedprod.{m}" for cls, m in homes.items()}
+    assert set_classes((SRC / "dynsys.py").read_text()) == []
+
+
+def test_the_parser_holds_no_ideal_or_torus_word():
+    # the ideal and transform layers read their own literals
+    assert string_constants((SRC / "parsing.py").read_text(), IDEAL_AND_TORUS_WORDS) == []
 
 
 def test_no_placeholder_type_aliases():

@@ -1,8 +1,8 @@
 """The package and ``dynsys`` resolve their public names on first use.
 
 ``crossedprod`` exports the same names as when its ``__init__`` imported
-every module, and ``dynsys`` still answers for the four model classes,
-whose modules load only when a name asks for them.
+every module, and ``dynsys`` still answers for the four model classes and
+their set classes, whose modules load only when a name asks for them.
 """
 
 import os
@@ -71,6 +71,13 @@ def test_dynsys_resolves_the_models_from_their_modules():
     assert dynsys.UnionSystem is union.UnionSystem
     assert dynsys.Surd is rotation.Surd and dynsys.GOLDEN_CONJUGATE is rotation.GOLDEN_CONJUGATE
     assert crossedprod.FiniteSystem is finite.FiniteSystem
+    # each model's set class, and the rotation's turn comparison, resolve here as well
+    homes = {"FiniteSet": finite, "ShiftSet": shift, "CircleSet": rotation, "UnionSet": union}
+    for name, module in {**homes, "turns_eq": rotation, "TURN_TOL": rotation}.items():
+        assert getattr(dynsys, name) is getattr(module, name), name
+    from crossedprod import CircleSet, FiniteSet, ShiftSet, UnionSet
+    for cls, module in zip((FiniteSet, ShiftSet, CircleSet, UnionSet), homes.values()):
+        assert cls is getattr(module, cls.__name__)
 
 
 def loaded_after(code: str) -> set:

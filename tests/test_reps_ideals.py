@@ -416,3 +416,13 @@ def test_a_torus_parameter_off_the_circle_is_refused(cycle3, lam):
                  lambda: dual_action(d, lam)):
         with pytest.raises(ValueError, match="off the unit circle"):
             call()
+
+
+def test_exact_canonical_handles_keep_an_exact_torus_parameter(cycle3):
+    # an exact parameter stays as given; only a float one is made exact
+    lam = sc.qc(Fraction(3, 5), Fraction(4, 5))
+    handles = canonical_handles(cycle3, lam_values=(lam,), exact=True)
+    assert [repr(h) for h in handles] == ["Qx(0)", "Pxl(0, 3/5+4/5i)"]
+    assert handles[1].lam == lam
+    lams = [h.lam for h in canonical_handles(cycle3, exact=True)[1:]]
+    assert lams == [sc.qc(1), sc.qc(-1), sc.qc(0, 1)] and all(map(sc.is_exact, lams))
