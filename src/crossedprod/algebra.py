@@ -9,9 +9,8 @@ elements, so no truncation is ever performed.
 from __future__ import annotations
 
 from . import scalars as sc
-from .dynsys import Point, validate_point
+from .dynsys import Func, Point, f_is_zero, validate_point
 from .errors import ModeMismatchError, SystemMismatchError
-from .funcspace import Func, f_is_zero, f_sub, one_func, zero_func
 from .records import record
 
 
@@ -46,10 +45,7 @@ class Element:
         return " + ".join(parts) or "0"
 
     def coeff(self, n: int) -> Func:
-        got = self.coeffs.get(n)
-        if got is not None:
-            return got
-        return zero_func(self.system, self.exact)
+        return self.coeffs.get(n) or self.system.const(sc.zero_like(self.exact))
 
     def support(self) -> list[int]:
         return sorted(self.coeffs)
@@ -83,11 +79,11 @@ def from_func(f: Func) -> Element:
 
 
 def unit(system, exact: bool = False) -> Element:
-    return Element(system, {0: one_func(system, exact)})
+    return Element(system, {0: system.const(sc.one_like(exact))})
 
 
 def delta_power(system, n: int, exact: bool = False) -> Element:
-    return Element(system, {n: one_func(system, exact)})
+    return Element(system, {n: system.const(sc.one_like(exact))})
 
 
 def zero_element(system) -> Element:
@@ -196,8 +192,4 @@ def elem_is_zero(a: Element, tol: float = 0.0) -> bool:
 
 
 def elem_close(a: Element, b: Element, tol: float = 1e-9) -> bool:
-    _check_pair(a, b)
-    for n in set(a.coeffs) | set(b.coeffs):
-        if not f_is_zero(f_sub(a.coeff(n), b.coeff(n)), tol):
-            return False
-    return True
+    return elem_is_zero(alg_sub(a, b), tol)

@@ -265,7 +265,7 @@ def _dispatch(args, cfg: SystemConfig) -> int:
             out.add("empty", (rep.note,))
     elif args.command == "isynth":
         from .transform import ideal_of_torus_set
-        T = parse_torus(args.torus, system, exact)
+        T = parse_torus(args.torus, system, exact, tol)
         out.add(repr(ideal_of_torus_set(T, tol)))
     elif args.command == "zi":
         from .transform import zi_closure

@@ -9,7 +9,7 @@ machinery needs.  The system class owns its model: point checks and sigma
 iteration, the set algebra, the kernels of the function model :class:`Func`,
 and the syntax of its config declaration, function literal and set
 literals, both written and read.  This module holds what the models share
-(points, :class:`Func`, the leaf defaults), resolves each model's classes by
+(points, :class:`Func` and its zero test, the leaf defaults), resolves each model's classes by
 name on first use (the parser finds a declared model's class that way, and
 ``dynsys.FiniteSet`` and the like still answer), and has the checked entry
 points.
@@ -134,6 +134,10 @@ def _func(system, data, exact: bool) -> Func:
     return f
 
 
+def f_is_zero(f: Func, tol: float = 0.0) -> bool:
+    return all(sc.is_zero(v, tol) for v in f.system.scalars(f.data))
+
+
 def rotation_phase(system, m: int) -> complex:
     """exp(2 pi i theta m) for a rotation system, reduced mod 1 before
     exponentiating."""
@@ -167,7 +171,10 @@ class _Leaf:
         return int(v)
 
     def orbit_points(self, x: Point) -> list[Point]:
-        return [self.apply_sigma(x, k) for k in range(self.period(x))]
+        p = self.period(x)
+        if p is None:
+            raise UnsupportedQueryError("orbit_points needs a periodic point")
+        return [self.apply_sigma(x, k) for k in range(p)]
 
     def orbit_closure(self, x: Point):
         if self.period(x) is None:
@@ -263,10 +270,7 @@ def is_periodic(sys, x: Point) -> bool:
 
 def orbit_points(sys, x: Point) -> list[Point]:
     """The forward orbit of a periodic point, starting at x."""
-    leaf = validate_point(sys, x)
-    if leaf.period(x) is None:
-        raise UnsupportedQueryError("orbit_points needs a periodic point")
-    return leaf.orbit_points(x)
+    return validate_point(sys, x).orbit_points(x)
 
 
 def empty_set(sys):

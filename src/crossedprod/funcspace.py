@@ -7,14 +7,15 @@ runs in float mode only; finite and shift models also support exact
 rational scalars.
 
 Each model's kernels are methods of its system class, in that model's own
-module; :class:`Func` lives in :mod:`.dynsys`.  The functions here check
-their arguments and call the method.
+module; :class:`Func` and :func:`f_is_zero` live in :mod:`.dynsys`.  The
+functions here check their arguments and call the method, for users and ``checks``.
 """
 
 from __future__ import annotations
 
 from . import scalars as sc
-from .dynsys import Func as Func, Point, rotation_phase as rotation_phase, validate_point
+from .dynsys import Func as Func, Point, f_is_zero as f_is_zero, validate_point
+from .dynsys import rotation_phase as rotation_phase
 from .errors import SystemMismatchError
 from .scalars import DEFAULT_TOL as DEFAULT_TOL, unit_circle_roots as unit_circle_roots
 
@@ -113,10 +114,6 @@ def f_algnorm(f: Func) -> float:
     """The computable algebra norm: exact sup where available, the
     coefficient-sum norm on the rotation model."""
     return f.system.algnorm(f)
-
-
-def f_is_zero(f: Func, tol: float = 0.0) -> bool:
-    return all(sc.is_zero(v, tol) for v in f.system.scalars(f.data))
 
 
 def func_close(f: Func, g: Func, tol: float = DEFAULT_TOL) -> bool:

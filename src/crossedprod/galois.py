@@ -10,12 +10,11 @@ comparisons, never from structural identity.
 
 from __future__ import annotations
 
-from .dynsys import orbit_closure
 from .errors import UnsupportedQueryError
-from .funcspace import f_zero_set, point_indicator
 from .hullkernel import hull
 from .records import record
 from .reps_ideals import kernel_ideal
+from .scalars import DEFAULT_TOL
 from .transform import (
     TorusSubset, ideal_leq, ideal_of_torus_set, lamset_contains, lamset_roots, zeros_of_ideal,
 )
@@ -186,14 +185,14 @@ def classical_pair(system) -> GaloisPair:
     def common_zeros(funcs):
         acc = system.whole_space()
         for f in funcs:
-            acc = system.intersect(acc, f_zero_set(f))
+            acc = system.intersect(acc, system.zero_set(f, DEFAULT_TOL))
         return acc
 
     def kernel_generators(S):
         gens = []
         for x in points:
             if not system.contains(S, x):
-                gens.append(point_indicator(system, x))
+                gens.append(system.point_indicator(x, False))
         return tuple(gens)
 
     return GaloisPair(
@@ -232,15 +231,13 @@ def zeros_synth_pair(system) -> GaloisPair:
 def torus_leq(system, T1: TorusSubset, T2: TorusSubset) -> bool:
     """Containment of stored product sets, entrywise on orbits."""
     for e in T1.entries:
-        part = orbit_closure(system, e.point)
+        part = system.orbit_closure(e.point)
         try:
             probes = system.all_orbits_in(part)
         except UnsupportedQueryError:
-            probes = None
-        if probes is None:
             # cannot enumerate orbits: need one entry covering the whole part
             if not any(
-                system.subset(part, orbit_closure(system, e2.point))
+                system.subset(part, system.orbit_closure(e2.point))
                 and _lamset_subset(e.lamset, [e2.lamset])
                 for e2 in T2.entries
             ):
@@ -248,7 +245,7 @@ def torus_leq(system, T1: TorusSubset, T2: TorusSubset) -> bool:
             continue
         for x in probes:
             covering = [e2.lamset for e2 in T2.entries
-                        if system.contains(orbit_closure(system, e2.point), x)]
+                        if system.contains(system.orbit_closure(e2.point), x)]
             if not _lamset_subset(e.lamset, covering):
                 return False
     return True

@@ -11,11 +11,11 @@ from __future__ import annotations
 from .algebra import Element
 from .dynsys import is_invariant_closed
 from .errors import UnsupportedQueryError
-from .funcspace import DEFAULT_TOL
 from .records import record
 from .reps_ideals import (
     HullResult, IdealHandle, KernelIdeal, ideal_member, kernel_ideal, orbit_kernel,
 )
+from .scalars import DEFAULT_TOL
 
 
 def hull(I: IdealHandle, tol: float = DEFAULT_TOL) -> HullResult:

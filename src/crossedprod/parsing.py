@@ -61,9 +61,8 @@ from . import dynsys
 from . import scalars as sc
 from .algebra import Element, alg_add, alg_mul, alg_adj, alg_scale, alg_sub, \
     delta_power, expectation, from_func, unit
-from .dynsys import INF, Point, empty_set, validate_point, whole_space
+from .dynsys import INF, Point, validate_point
 from .errors import ModeMismatchError, ParseError, SystemMismatchError
-from .funcspace import f_compose_sigma
 from .records import record
 from .scalars import fmt_real as fmt_real, render_scalar as render_scalar
 
@@ -324,9 +323,9 @@ class _Stream:
     def set(self, system):
         t = self.peek()
         if self.word("all"):
-            return whole_space(system)
+            return system.whole_space()
         if self.word("empty"):
-            return empty_set(system)
+            return system.empty_set()
         if t.kind == "name" and t.text in _SET_WORDS:
             if t.text not in system.set_words:
                 self.fail(f"{t.text} literal on a {system.kind} system")
@@ -436,7 +435,7 @@ def _try_invert(a: Element) -> Element | None:
     if inv is None:
         return None
     # (f d^k)^-1 = d^-k f^-1 = (f^-1 o sigma^k) d^-k
-    return Element(a.system, {-k: f_compose_sigma(inv, k)})
+    return Element(a.system, {-k: a.system.compose_sigma(inv, k)})
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +455,9 @@ def parse_ideal(text: str, system, exact: bool = False):
     return _read(text, lambda s: read_ideal(s, system, exact), "ideal")
 
 
-def parse_torus(text: str, system, exact: bool = False):
+def parse_torus(text: str, system, exact: bool = False, tol: float = sc.DEFAULT_TOL):
     from .transform import read_torus
-    return _read(text, lambda s: read_torus(s, system, exact), "torus set")
+    return _read(text, lambda s: read_torus(s, system, exact, tol), "torus set")
 
 
 # ---------------------------------------------------------------------------

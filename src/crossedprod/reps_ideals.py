@@ -11,17 +11,15 @@ from __future__ import annotations
 import cmath
 import math
 from functools import reduce
+from itertools import takewhile
 from operator import add
 
 from . import scalars as sc
 from .algebra import Element, alg_add, alg_adj, alg_mul, demote_to_float, element, from_func
-from .dynsys import (
-    Point, apply_sigma, is_periodic, orbit_points, period,
-    is_invariant_closed, validate_point,
-)
+from .dynsys import Func, Point, is_invariant_closed, validate_point
 from .errors import SystemMismatchError, UnsupportedQueryError
-from .funcspace import DEFAULT_TOL, Func, f_eval, f_scale, one_func
 from .records import record
+from .scalars import DEFAULT_TOL
 from .transform import (
     FiniteRoots, FullCircle, TorusEntry, TorusSubset, generated_zero_set,
     pth_roots, residue_sums, torus_contains,
@@ -70,13 +68,16 @@ def _unify_lam(a: Element, lam):
 
 def rep_periodic(system, x: Point, lam, a: Element) -> RepMatrix:
     """Matrix of the finite-dimensional representation at a periodic point."""
-    p = period(system, x)
+    validate_point(system, x)
+    if a.system != system:
+        raise SystemMismatchError("element on the wrong system")
+    p = system.period(x)
     if p is None:
         raise UnsupportedQueryError("rep_periodic needs a periodic point")
     sc.check_unimodular(lam)
     a, lam = _unify_lam(a, lam)
     exact = a.exact and sc.is_exact(lam)
-    orbit = orbit_points(system, x)
+    orbit = system.orbit_points(x)
 
     # The unitary step matrix D has ones on the subdiagonal and lam in the
     # top-right corner, so D^n e_j = lam^q e_i with i = (j + n) mod p and
@@ -84,7 +85,7 @@ def rep_periodic(system, x: Point, lam, a: Element) -> RepMatrix:
     # q stands for conj(lam)^|q|.
     total = _zeros(p, exact)
     for n, f in a.coeffs.items():
-        diag = [f_eval(f, orbit[j]) for j in range(p)]
+        diag = [system.eval(f, y) for y in orbit]
         for j in range(p):
             q, i = divmod(j + n, p)
             total[i][j] = total[i][j] + diag[i] * sc.unit_pow(lam, q)
@@ -98,21 +99,21 @@ def rep_aperiodic_window(system, x: Point, W: int, a: Element) -> RepMatrix:
     with the represented product on the central band of radius
     W minus the support radius.
     """
-    if is_periodic(system, x):
+    validate_point(system, x)
+    if a.system != system:
+        raise SystemMismatchError("element on the wrong system")
+    if system.period(x) is not None:
         raise UnsupportedQueryError("rep_aperiodic_window needs an aperiodic point")
     if W < a.support_radius():
         raise UnsupportedQueryError("window smaller than the support radius")
-    dim = 2 * W + 1
-    exact = a.exact
-    M = _zeros(dim, exact)
+    M = _zeros(2 * W + 1, a.exact)
     # basis action: the step generator sends e_k to e_{k+1} and a function
     # acts diagonally by its value along the orbit, so the coefficient of
     # index n contributes a_n(sigma^{k+n} x) at position (k+n, k)
     for n, f in a.coeffs.items():
         for k in range(-W, W + 1):
             if -W <= k + n <= W:
-                M[k + n + W][k + W] = M[k + n + W][k + W] + \
-                    f_eval(f, apply_sigma(system, x, k + n))
+                M[k + n + W][k + W] += system.eval(f, system.apply_sigma(x, k + n))
     return RepMatrix(tuple(tuple(r) for r in M), window=W)
 
 
@@ -158,7 +159,7 @@ class IdealHandle:
         """Whether this ideal lies in J: its zero set meets the torus fibre
         of J, which characterises containment."""
         Z = self.zeros(tol)
-        return any(torus_contains(Z, J.x, mu) for mu in pth_roots(J.lam, period(J.system, J.x)))
+        return any(torus_contains(Z, J.x, mu) for mu in pth_roots(J.lam, J.system.period(J.x)))
 
     def _beside_bad(self, J: PxLambdaIdeal, tol: float) -> BehaviourReport:
         """Behaviour of the meet of this ideal with the badly behaved J; only
@@ -223,7 +224,7 @@ class PxIdeal(SetKernelIdeal):
         if self.system.contains(self.subset, J.x):
             return BehaviourReport("well")  # the intersection collapses to Px
         f = self.system.separating_func(self.subset, J.x, sc.is_exact(J.lam))
-        a = escape_element(f, J.lam, period(self.system, J.x))
+        a = escape_element(f, J.lam, self.system.period(J.x))
         if not (self.member(a, tol) and J.member(a, tol)):
             raise AssertionError("plain-ideal witness failed the membership check")
         if J.member(from_func(f), tol):
@@ -256,7 +257,7 @@ class PxLambdaIdeal(IdealHandle):
         """b g c for the escape element g, plus a member of Qx half the time."""
         from .sampling import random_element, random_func
         f = random_func(self.system, rng, exact)
-        g = escape_element(f, self.lam, period(self.system, self.x))
+        g = escape_element(f, self.lam, self.system.period(self.x))
         b = random_element(self.system, rng, 1, exact)
         c = random_element(self.system, rng, 1, exact)
         prod = alg_mul(alg_mul(b, g), c)
@@ -269,12 +270,12 @@ class PxLambdaIdeal(IdealHandle):
                           ("badly behaved: the zero-coefficient image is dense",))
 
     def zeros(self, tol: float) -> TorusSubset:
-        roots = pth_roots(self.lam, period(self.system, self.x))
+        roots = pth_roots(self.lam, self.system.period(self.x))
         return TorusSubset(self.system, (TorusEntry(self.x, FiniteRoots(tuple(roots))),))
 
     def behaviour(self, tol: float) -> BehaviourReport:
-        f = one_func(self.system, exact=sc.is_exact(self.lam))
-        a = escape_element(f, self.lam, period(self.system, self.x))
+        f = self.system.const(sc.one_like(sc.is_exact(self.lam)))
+        a = escape_element(f, self.lam, self.system.period(self.x))
         return BehaviourReport("bad", escape_function=f, escape_element=a)
 
     def contains(self, I: IdealHandle, tol: float) -> bool:
@@ -367,6 +368,10 @@ class IntersectionIdeal(IdealHandle):
     def contains(self, I: IdealHandle, tol: float) -> bool:
         return all(p.contains(I, tol) for p in self.parts)
 
+    def _inside_pxl(self, J: PxLambdaIdeal, tol: float) -> bool:
+        """J, a representation kernel, is prime: a meet lies in it iff a part does."""
+        return any(p._inside_pxl(J, tol) for p in self.parts)
+
     def random_member(self, rng, radius: int, exact: bool) -> Element:
         if not self.parts:
             from .sampling import random_element
@@ -407,14 +412,14 @@ class GeneratedIdeal(IdealHandle):
 
 def canonical_px(system, x: Point) -> PxIdeal:
     validate_point(system, x)
-    if is_periodic(system, x):
+    if system.period(x) is not None:
         raise UnsupportedQueryError("Px needs an aperiodic point")
     return PxIdeal(system, system.orbit_closure(x), x)
 
 
 def canonical_px_lambda(system, x: Point, lam) -> PxLambdaIdeal:
     validate_point(system, x)
-    if not is_periodic(system, x):
+    if system.period(x) is None:
         raise UnsupportedQueryError("Pxl needs a periodic point")
     sc.check_unimodular(lam)
     return PxLambdaIdeal(system, x, lam)
@@ -422,14 +427,14 @@ def canonical_px_lambda(system, x: Point, lam) -> PxLambdaIdeal:
 
 def canonical_qx(system, x: Point) -> QxIdeal:
     validate_point(system, x)
-    if not is_periodic(system, x):
+    if system.period(x) is None:
         raise UnsupportedQueryError("Qx needs a periodic point")
     return QxIdeal(system, system.orbit_closure(x), x)
 
 
 def orbit_kernel(system, x: Point) -> SetKernelIdeal:
     """The set kernel of the orbit closure of x: Qx if x is periodic, else Px."""
-    return canonical_qx(system, x) if is_periodic(system, x) else canonical_px(system, x)
+    return canonical_px(system, x) if system.period(x) is None else canonical_qx(system, x)
 
 
 def kernel_ideal(system, S) -> KernelIdeal:
@@ -467,7 +472,9 @@ def read_ideal(s, system, exact: bool) -> IdealHandle:
     if t.text == "Pxl":
         x = s.point(system)
         s.expect(",")
-        lam = s.scalar(exact)
+        # a decimal parameter reads as a float in either mode, as zi prints it
+        scalar = takewhile(lambda u: u.kind not in (")", "end"), s.toks[s.pos:])
+        lam = s.scalar(exact and all(u.kind != "num" or u.text.isdigit() for u in scalar))
         s.expect(")")
         return canonical_px_lambda(system, x, lam)
     if t.text == "K":
@@ -504,7 +511,7 @@ def escape_element(f: Func, lam, p: int) -> Element:
         if f.exact:
             f = f.system.demote(f)
         neg = -complex(lam).conjugate()
-    return element(f.system, {0: f, p: f_scale(neg, f)})
+    return element(f.system, {0: f, p: f.system.scale(neg, f)})
 
 
 def ideal_behaviour(I: IdealHandle, tol: float = DEFAULT_TOL) -> BehaviourReport:
@@ -549,12 +556,13 @@ def separating_check(system, a: Element, tol: float = DEFAULT_TOL):
     for n, f in sorted(a.coeffs.items()):
         x = a.system.point_where_nonzero(f, tol)
         if x is not None:
-            found = (n, x, f_eval(f, x))
+            found = (n, x, a.system.eval(f, x))
             break
     if found is None:
         return None
     n, x, val = found
-    if is_periodic(system, x):
+    validate_point(system, x)  # a point of a's system: is it one of system's?
+    if system.period(x) is not None:
         N = a.support_radius()
         order = 2 * N + 1
         for k in range(order):

@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from . import scalars as sc
 from .algebra import Element
-from .dynsys import is_periodic
-from .funcspace import Func
+from .dynsys import Func
 from .reps_ideals import IdealHandle, canonical_px_lambda, orbit_kernel
 
 
@@ -69,7 +68,7 @@ def canonical_handles(system, lam_values=(1 + 0j, -1 + 0j, 1j),
     out: list[IdealHandle] = []
     for x in system.orbit_reps():
         out.append(orbit_kernel(system, x))
-        if is_periodic(system, x):
+        if system.period(x) is not None:
             out.extend(canonical_px_lambda(system, x, lam) for lam in lam_values)
     return out
 

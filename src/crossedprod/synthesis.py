@@ -14,9 +14,8 @@ from .algebra import (
     Element, alg_add, alg_mul, alg_norm, alg_scale, alg_sub, expectation,
     from_func, zero_element,
 )
-from .dynsys import is_free, period
+from .dynsys import Func
 from .errors import UnsupportedQueryError
-from .funcspace import f_algnorm, one_func, trig_poly
 from .records import record
 from .reps_ideals import (
     canonical_px_lambda, escape_element, ideal_member,
@@ -61,7 +60,7 @@ def drive_to_E(a: Element, epsilon: float, max_rounds: int = 16) -> AveragingRep
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     target = from_func(expectation(a))
-    base_norms = {n: f_algnorm(f) for n, f in a.coeffs.items()}
+    base_norms = {n: a.system.algnorm(f) for n, f in a.coeffs.items()}
     current = a
     rounds = [(0, alg_norm(alg_sub(current, target)))]
     order = 2
@@ -75,7 +74,7 @@ def drive_to_E(a: Element, epsilon: float, max_rounds: int = 16) -> AveragingRep
     for n, base in base_norms.items():
         if n == 0 or base == 0:
             continue
-        damping[n] = f_algnorm(current.coeff(n)) / base
+        damping[n] = a.system.algnorm(current.coeff(n)) / base
     final = rounds[-1][1]
     return AveragingReport(tuple(rounds), damping, final <= epsilon, final)
 
@@ -98,11 +97,11 @@ def dichotomy_report(system, epsilon: float = 0.1, max_rounds: int = 14) -> Dich
     zero-coefficient projection escapes from; the free rotation gets an
     averaging run as positive evidence.
     """
-    if not is_free(system):
+    if not system.is_free():
         x = system.some_periodic_point()
-        p = period(system, x)
+        p = system.period(x)
         lam = 1 + 0j
-        f = one_func(system)
+        f = system.const(1 + 0j)
         a = escape_element(f, lam, p)
         I = canonical_px_lambda(system, x, lam)
         assert ideal_member(I, a)
@@ -113,7 +112,7 @@ def dichotomy_report(system, epsilon: float = 0.1, max_rounds: int = 14) -> Dich
             note="a torus-parameter kernel admits an escaping zero coefficient",
         )
     try:  # only the rotation model has characters; another free system is a union of them
-        sample = Element(system, {0: system.character(0), 1: trig_poly(system, {0: 0.5, 1: 0.5}),
+        sample = Element(system, {0: system.character(0), 1: Func(system, {0: 0.5, 1: 0.5}),
                                   -1: system.character(-1)})
     except UnsupportedQueryError:
         return DichotomyReport(True, note="free; averaging evidence is per rotation component")

@@ -16,15 +16,10 @@ from functools import cached_property
 
 from . import scalars as sc
 from .algebra import Element, alg_mul, demote_to_float, from_func
-from .dynsys import (
-    Point, is_periodic, orbit_closure, orbit_points, period,
-)
-from .funcspace import (
-    DEFAULT_TOL, Func, cx_basis, f_add, f_eval, f_scale, vanishes_on,
-    zero_func,
-)
+from .dynsys import Func, Point, validate_point
+from .errors import SystemMismatchError
 from .records import record
-from .scalars import ROOT_MATCH_TOL, poly_gcd, unit_circle_roots
+from .scalars import DEFAULT_TOL, ROOT_MATCH_TOL, poly_gcd, unit_circle_roots
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +81,11 @@ class TorusSubset:
         return "t[" + "; ".join(repr(e) for e in self.entries) + "]"
 
 
-def read_torus(s, system, exact: bool) -> TorusSubset:
+def read_torus(s, system, exact: bool, tol: float = DEFAULT_TOL) -> TorusSubset:
     """A torus literal from the token stream s, as the reprs above write it:
     t[entry; ...], each entry point "*"? ":" lambda set.  The lambda sets
-    hold float roots and coefficients whatever the mode exact."""
+    hold float roots and coefficients whatever the mode exact; a poly{...}
+    set finds its unit-circle roots within tol, as zeros_of_ideal does."""
     s.expect_name("t")
     s.expect("[")
     entries = []
@@ -98,20 +94,20 @@ def read_torus(s, system, exact: bool) -> TorusSubset:
             x = s.point(system)
             closure = s.accept("*") is not None
             s.expect(":")
-            entries.append(TorusEntry(x, _read_lamset(s), use_closure=closure))
+            entries.append(TorusEntry(x, _read_lamset(s, tol), use_closure=closure))
             if s.accept("]"):
                 break
             s.expect(";")
     return TorusSubset(system, tuple(entries))
 
 
-def _read_lamset(s):
+def _read_lamset(s, tol: float):
     """full, roots{scalar, ...} or poly{scalar, ...}."""
     t = s.expect_name("full", "roots", "poly")
     if t.text == "full":
         return FullCircle()
     vals = tuple(complex(v) for v in s.braced(lambda: s.scalar(False)))
-    return FiniteRoots(vals) if t.text == "roots" else PolynomialRoots(vals)
+    return FiniteRoots(vals) if t.text == "roots" else PolynomialRoots(vals, tol)
 
 
 def lamset_roots(ls) -> list[complex] | None:
@@ -128,7 +124,8 @@ def lamset_contains(ls, mu, tol: float = ROOT_MATCH_TOL) -> bool:
 
 def torus_contains(T: TorusSubset, x: Point, mu, tol: float = ROOT_MATCH_TOL) -> bool:
     for e in T.entries:
-        xpart = orbit_closure(T.system, e.point)
+        validate_point(T.system, e.point)
+        xpart = T.system.orbit_closure(e.point)
         if T.system.contains(xpart, x) and lamset_contains(e.lamset, mu, tol):
             return True
     return False
@@ -157,15 +154,16 @@ def generated_zero_set(I, tol: float) -> TorusSubset:
     """Zero set of a generated ideal, one entry per orbit that every
     generator's transform vanishes on: the lambda set of a periodic orbit,
     the full circle over the closure of an aperiodic one."""
+    system = I.system
     out = []
-    for x in I.system.orbit_reps():
-        if is_periodic(I.system, x):
+    for x in system.orbit_reps():
+        if system.period(x) is not None:
             ls = _periodic_lambda_set(I, x, tol)
             if ls is not None:
                 out.append(TorusEntry(x, ls))
         else:
-            closure = orbit_closure(I.system, x)
-            if all(vanishes_on(f, closure, tol) for g in I.gens for f in g.coeffs.values()):
+            closure = system.orbit_closure(x)
+            if all(system.vanishes_on(f, closure, tol) for g in I.gens for f in g.coeffs.values()):
                 out.append(TorusEntry(x, FullCircle(), use_closure=True))
     return TorusSubset(I.system, tuple(out))
 
@@ -175,13 +173,14 @@ def residue_sums(a: Element, x: Point) -> list[dict]:
     each orbit point y, residue first, the map l -> a_{l p + j}(y) in the
     element's order.  Weighted by lam^l, each map is a vanishing condition
     of the kernel at (x, lam); by mu^{p l}, one of a lambda set."""
-    orbit = orbit_points(a.system, x)
+    system = a.system
+    orbit = system.orbit_points(x)
     p = len(orbit)
     sums = [{} for _ in range(p * p)]
     for n, f in a.coeffs.items():
         l, j = divmod(n, p)
         for k, y in enumerate(orbit):
-            sums[j * p + k][l] = f_eval(f, y)
+            sums[j * p + k][l] = system.eval(f, y)
     return [s for s in sums if s]
 
 
@@ -193,7 +192,7 @@ def _periodic_lambda_set(I, x: Point, tol):
     g_{l p + j}(y) with powers cleared; an orbit with coprime conditions is
     omitted (None), and all-zero conditions give the full circle.
     """
-    p = period(I.system, x)
+    p = I.system.period(x)
     conds: list[list[complex]] = []
     for g in I.gens:
         for sums in residue_sums(g, x):
@@ -228,7 +227,8 @@ def ideal_of_torus_set(T: TorusSubset, tol: float = DEFAULT_TOL):
         roots = lamset_roots(e.lamset)
         if roots == []:
             continue
-        p = period(system, e.point)
+        validate_point(system, e.point)
+        p = system.period(e.point)
         if p is None or roots is None:
             if e.point not in whole:
                 whole.append(e.point)
@@ -250,16 +250,19 @@ def tilde_member(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> bool:
     closure; the full-circle case asks every coefficient to vanish there.
     """
     system = T.system
+    if a.system != system:
+        raise SystemMismatchError("element on the wrong system")
     for e in T.entries:
-        closure = orbit_closure(system, e.point)
+        validate_point(system, e.point)
+        closure = system.orbit_closure(e.point)
         roots = lamset_roots(e.lamset)
         if roots is None:
-            if not all(vanishes_on(f, closure, tol) for f in a.coeffs.values()):
+            if not all(system.vanishes_on(f, closure, tol) for f in a.coeffs.values()):
                 return False
             continue
         for mu in roots:
             h = _lambda_weighted_sum(a, mu)
-            if not vanishes_on(h, closure, tol):
+            if not system.vanishes_on(h, closure, tol):
                 return False
     return True
 
@@ -267,11 +270,11 @@ def tilde_member(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> bool:
 def _lambda_weighted_sum(a: Element, mu) -> Func:
     """The function x -> sum_n mu**n a_n(x), evaluated in float mode."""
     af = demote_to_float(a) if a.exact else a
-    mu = complex(mu)
-    acc = zero_func(af.system)
+    system, mu = af.system, complex(mu)
+    acc = system.const(0j)
     for n, f in af.coeffs.items():
         w = mu ** n if n >= 0 else mu.conjugate() ** (-n)
-        acc = f_add(acc, f_scale(w, f))
+        acc = system.add(acc, system.scale(w, f))
     return acc
 
 
@@ -280,7 +283,7 @@ def ideal_member_via_S(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> 
     products a.f against the raw vanishing condition, with f running over a
     point-indicator style basis of the function model."""
     window = _shift_window(T, a)
-    basis = cx_basis(a.system, ints_window=window, max_freq=max(1, len(a.coeffs)))
+    basis = a.system.cx_basis(window, max(1, len(a.coeffs)), False)
     return all(tilde_member(T, alg_mul(a, from_func(f)), tol) for f in basis)
 
 
@@ -351,24 +354,15 @@ def adjoint_zeros_equal(I, grid_order: int = 64, tol: float = 1e-8) -> bool:
 
 
 def _same_root_lists(Z1: TorusSubset, Z2: TorusSubset) -> bool:
-    def gather(Z):
-        return {e.point: lamset_roots(e.lamset) for e in Z.entries}
+    """The same points, each with the full circle in both or with root lists
+    that match in order within ROOT_MATCH_TOL."""
+    def same(r1, r2):
+        if r1 is None or r2 is None:
+            return r1 is r2
+        return len(r1) == len(r2) and all(abs(u - v) <= ROOT_MATCH_TOL for u, v in zip(r1, r2))
 
-    g1, g2 = gather(Z1), gather(Z2)
-    if set(g1) != set(g2):
-        return False
-    for k in g1:
-        r1, r2 = g1[k], g2[k]
-        if (r1 is None) != (r2 is None):
-            return False
-        if r1 is None:
-            continue
-        if len(r1) != len(r2):
-            return False
-        for u, v in zip(r1, r2):
-            if abs(u - v) > ROOT_MATCH_TOL:
-                return False
-    return True
+    g1, g2 = ({e.point: lamset_roots(e.lamset) for e in Z.entries} for Z in (Z1, Z2))
+    return g1.keys() == g2.keys() and all(same(g1[k], g2[k]) for k in g1)
 
 
 # ---------------------------------------------------------------------------

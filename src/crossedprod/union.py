@@ -58,6 +58,17 @@ class UnionSystem:
                 return in_component(i, x)
         return None
 
+    # points and dynamics: the leaf the point's path names answers, keeping the path
+
+    def apply_sigma(self, x: Point, k: int) -> Point:
+        return self.leaf(x.path).apply_sigma(x, k)
+
+    def period(self, x: Point):
+        return self.leaf(x.path).period(x)
+
+    def orbit_points(self, x: Point) -> list[Point]:
+        return self.leaf(x.path).orbit_points(x)
+
     # closed sets
 
     def empty_set(self):

@@ -310,3 +310,12 @@ def test_rotation_algebra_phases(golden_rotation):
     theta = golden_rotation.theta_value()
     got = conj.coeff(0).data[1]
     assert abs(got - cmath.exp(-2j * math.pi * theta)) < 1e-12
+
+
+def test_elem_close_compares_with_the_zero_element_in_exact_mode(cycle3):
+    # the zero element has no mode, so an exact element is compared with it
+    # as with any other: the difference is the element itself
+    a = alg_add(unit(cycle3, exact=True), delta_power(cycle3, 1, exact=True))
+    zero = zero_element(cycle3)
+    assert not elem_close(a, zero, 0) and not elem_close(zero, a, 0)
+    assert elem_close(zero, zero, 0) and elem_close(a, a, 0)

@@ -203,3 +203,50 @@ def test_a_tolerance_must_be_finite_and_not_negative(tol, tmp_path, monkeypatch,
     for ok, hull_set in (("1e-9", "{2}"), ("0", "{}")):  # zero is exact comparison
         assert run_command(["--config", good, "--tol", ok, *hull]) == 0
         assert capsys.readouterr().out.startswith(hull_set + "\n")
+
+
+def test_isynth_reads_a_poly_set_within_the_command_tolerance():
+    # zeros and zi find the root of -1.00001 + mu^2 within --tol, and so
+    # must isynth when it reads the same poly set back
+    swapfix = str(DATA / "swapfix.cfg")
+
+    def run(*argv, tol=("--tol", "1e-4")):
+        code, out = invoke(["--config", swapfix, *tol, *argv])
+        assert code == 0, out
+        return out.splitlines()
+
+    zeros = run("zeros", "--ideal", "gen(-1.00001 + d)")
+    assert zeros[:2] == ["t[2: poly{-1.00001,1}]", "nonempty"]
+    closure = run("zi", "--ideal", "gen(-1.00001 + d)")
+    assert closure == ["meet(Pxl(2, 1))"]
+    assert run("isynth", "--torus", zeros[0]) == closure
+    assert run("isynth", "--torus", zeros[0], tol=()) == ["meet()"]  # 1.00001 is off the circle
+
+
+@pytest.mark.parametrize("i1,want", [("Pxl(2, 0.6+0.8i)", "false"),
+                                     ("meet(Pxl(2, 0.6+0.8i))", "false"),
+                                     ("meet(Pxl(2, 0.6+0.8i), Qx(2))", "true"),
+                                     ("meet()", "false")])
+def test_a_meet_of_one_pxl_ideal_is_included_as_that_ideal(i1, want):
+    # Pxl is prime: a meet lies in it exactly when one of its parts does
+    code, out = invoke(["--config", str(DATA / "swapfix.cfg"), "inclusion",
+                        "--i1", i1, "--i2", "Pxl(2, 0.6000000001+0.8i)"])
+    assert (code, out) == (0, want + "\n")
+
+
+def test_an_exact_config_reads_back_the_torus_parameters_zi_prints():
+    cfg = str(DATA / "cycle3_exact.cfg")
+    code, out = invoke(["--config", cfg, "zi", "--ideal", "Pxl(0, 3/5+4/5i)"])
+    assert (code, out) == (0, "meet(Pxl(0, 0.6+0.8i))\n")
+    printed = out.strip()
+    pxl = printed[len("meet("):-1]
+    member = ["member", "--ideal", pxl, "--elem", "1 - d^3"]
+    assert invoke(["--config", cfg, *member]) == (0, "false\n")
+    assert invoke(["--config", cfg, "inclusion", "--i1", "Pxl(0, 3/5+4/5i)",
+                   "--i2", printed]) == (0, "true\n")
+    assert invoke(["--config", cfg, "eval", "--elem", "0.5"])[0] == 3  # elements stay exact
+    # a rational parameter stays exact; one decimal part makes the whole parameter a float
+    from crossedprod.parsing import parse_config, parse_ideal
+    system = parse_config((DATA / "cycle3_exact.cfg").read_text()).system
+    assert repr(parse_ideal("Pxl(0, 3/5+4/5i)", system, True)) == "Pxl(0, 3/5+4/5i)"
+    assert repr(parse_ideal("Pxl(0, 3/5+0.8i)", system, True)) == "Pxl(0, 0.6+0.8i)"

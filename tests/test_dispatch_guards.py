@@ -6,11 +6,14 @@ handle, a system or a lambda set for its class (each answers through its
 methods), the parser imports no model's module (each system class reads
 its own syntax) and holds no ideal or torus word (those layers read their
 own literals), each model's set class lives in its model's module, no module binds a type name to ``object`` in place of a real class, no module
-imports numpy, and no module imports ``dataclasses`` or calls ``exec``,
-``eval`` or ``compile``.  Fresh interpreters check what
-``import crossedprod.cli`` loads, that a command which finds
-unit-circle roots loads no numpy, and that a command on a finite config
-loads only the layers it runs and no other model's module.
+imports numpy, no module imports ``dataclasses`` or calls ``exec``,
+``eval`` or ``compile``, and the layers above the models ask the system
+directly: they import nothing from ``funcspace`` and, of the checked entry
+points of ``dynsys``, only the two that check what a public name is
+handed.  Fresh interpreters check what ``import crossedprod.cli`` loads,
+that a command which finds unit-circle roots loads no numpy, that a
+command on a finite config loads only the layers it runs and no other
+model's module, and that the commands on it load no ``funcspace``.
 """
 
 import ast
@@ -19,6 +22,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crossedprod"
 
@@ -301,6 +306,7 @@ OTHER_MODELS = {"crossedprod.shift", "crossedprod.rotation", "crossedprod.union"
 def test_cold_path_guard_finds_what_it_looks_for():
     code, _, held = after_command(CYCLE3 + ("check", "--suite", "dual.average"))
     assert code == 0 and "crossedprod.checks" in held
+    assert "crossedprod.funcspace" in held  # the suites call the checked functions
 
 
 def test_element_command_loads_no_ideal_layer_and_no_other_model():
@@ -314,3 +320,77 @@ def test_ideal_command_on_a_finite_config_loads_no_other_model():
         CYCLE3 + ("member", "--ideal", "Pxl(0, 1)", "--elem", "1 - d^3"))
     assert code == 0 and out == "true\n"
     assert not held & OTHER_MODELS, sorted(held & OTHER_MODELS)
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "--elem", "d * f{0:1} * d^-1"),
+    ("member", "--ideal", "Pxl(0, 1)", "--elem", "1 - d^3"),
+    ("zeros", "--ideal", "gen(1 - d^3)"),
+    ("zi", "--ideal", "gen(1 - d^3)"),
+    ("hull", "--ideal", "gen(f{0:0,1:2,2:0})"),
+], ids=lambda c: c[0])
+def test_commands_on_a_finite_config_load_no_funcspace(command):
+    code, out, held = after_command(CYCLE3 + command)
+    assert code == 0 and out, out
+    assert "crossedprod.funcspace" not in held
+
+
+LAYERS = ("algebra", "transform", "reps_ideals", "hullkernel", "galois", "synthesis",
+          "sampling", "parsing")
+BOUNDARY_CHECKS = {"validate_point", "is_invariant_closed"}
+
+
+def imported_names(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, name) for each name imported from the package's module of that
+    name, the module's own name when it is imported whole."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            sites += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            sites += [(node.lineno, module) for a in node.names if a.name == module]
+        elif isinstance(node, ast.Import):
+            sites += [(node.lineno, module) for a in node.names if module in a.name.split(".")]
+    return sorted(sites)
+
+
+def checked_functions(source: str) -> set:
+    """The checked entry points of a module: its top-level functions that take
+    the system first, as ``sys``."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.args.args
+            and node.args.args[0].arg == "sys"}
+
+
+def test_boundary_guard_finds_what_it_looks_for():
+    src = ("from .funcspace import Func, f_eval\n"
+           "from . import funcspace, scalars\n"
+           "import crossedprod.funcspace as fs\n"
+           "def f():\n    from .dynsys import period, validate_point, Point\n"
+           "from crossedprod.dynsys import is_invariant_closed, orbit_closure\n"
+           "from .funcspace_like import x\n")
+    assert imported_names(src, "funcspace") == [
+        (1, "Func"), (1, "f_eval"), (2, "funcspace"), (3, "funcspace")]
+    assert imported_names(src, "dynsys") == [
+        (5, "Point"), (5, "period"), (5, "validate_point"),
+        (6, "is_invariant_closed"), (6, "orbit_closure")]
+    src = ("def period(sys, x):\n    pass\n"
+           "def pt(coord, *path):\n    pass\n"
+           "class A:\n    def leaf(sys, path):\n        pass\n")
+    assert checked_functions(src) == {"period"}
+    checked = checked_functions((SRC / "dynsys.py").read_text())
+    assert BOUNDARY_CHECKS | {"period", "apply_sigma", "orbit_points", "orbit_closure"} <= checked
+
+
+def test_the_layers_ask_the_system_directly():
+    # a value the library derived is not checked again: only the public
+    # entry points check what they are handed, through these two
+    checked = checked_functions((SRC / "dynsys.py").read_text()) - BOUNDARY_CHECKS
+    found = {}
+    for m in LAYERS:
+        source = (SRC / f"{m}.py").read_text()
+        sites = imported_names(source, "funcspace")
+        sites += [s for s in imported_names(source, "dynsys") if s[1] in checked]
+        if sites:
+            found[m] = sites
+    assert not found, f"checked functions imported by the layers: {found}"

@@ -14,7 +14,7 @@ from crossedprod.dynsys import (
     INF, FiniteSet, FiniteSystem, ShiftSet, apply_sigma,
     orbit_points, pt, whole_space,
 )
-from crossedprod.errors import UnsupportedQueryError
+from crossedprod.errors import SystemMismatchError, UnsupportedQueryError
 from crossedprod.funcspace import (
     f_eval, finite_func, one_func, shift_func,
 )
@@ -27,6 +27,7 @@ from crossedprod.reps_ideals import (
 from crossedprod.sampling import (
     canonical_handles, random_element, random_func, random_member,
 )
+from crossedprod.transform import FullCircle, TorusEntry, TorusSubset, tilde_member
 
 
 def to_numpy(M):
@@ -426,3 +427,20 @@ def test_exact_canonical_handles_keep_an_exact_torus_parameter(cycle3):
     assert handles[1].lam == lam
     lams = [h.lam for h in canonical_handles(cycle3, exact=True)[1:]]
     assert lams == [sc.qc(1), sc.qc(-1), sc.qc(0, 1)] and all(map(sc.is_exact, lams))
+
+
+def test_an_element_on_another_system_is_refused(cycle3, shift, shift_union_cycle3):
+    # the layers evaluate through the system they are handed, so the entry
+    # points check once that the element lives there
+    on_union = unit(shift_union_cycle3)
+    twin = FiniteSystem(3, (2, 0, 1))  # same size, other permutation
+    calls = [
+        lambda: rep_periodic(cycle3, pt(0), 1, on_union),
+        lambda: rep_periodic(cycle3, pt(0), 1, unit(twin)),
+        lambda: rep_aperiodic_window(shift, pt(0), 2, unit(cycle3)),
+        lambda: separating_check(cycle3, on_union),
+        lambda: tilde_member(TorusSubset(cycle3, (TorusEntry(pt(0), FullCircle()),)), on_union),
+    ]
+    for call in calls:
+        with pytest.raises(SystemMismatchError):
+            call()

@@ -2,7 +2,9 @@
 
 A one-component union answers every model question exactly as its component
 does, once points, sets and functions are lifted into the union; a
-two-component union answers componentwise.  Failures count as answers: the
+two-component union answers componentwise, and so does a union nesting it:
+each point question (``apply_sigma``, ``period``, ``orbit_points``) is the
+leaf's answer lifted with ``in_component``.  Failures count as answers: the
 same exception type must come out.
 """
 
@@ -72,7 +74,8 @@ SYSTEM_OPS = [
     method("invariant_closed_sets"), method("points"), method("orbit_reps"),
     lambda s: cx_basis(s, (0, 1), 2),
 ]
-POINT_OPS = [lambda s, x: apply_sigma(s, x, -2), period, orbit_closure, point_indicator]
+POINT_OPS = [lambda s, x: apply_sigma(s, x, -2), period, orbit_closure, point_indicator,
+             lambda s, x: s.apply_sigma(x, -2), method("period"), method("orbit_points")]
 SET_OPS = [method("largest_invariant_subset"), is_invariant_closed,
            method("cover_representatives"), method("all_orbits_in")]
 SET_PAIR_OPS = [method("union"), method("intersect"), method("subset")]
@@ -196,6 +199,16 @@ def test_two_component_union_answers_componentwise(names, request):
             assert answer(orbit_closure, U, lift(x)) == lift(answer(orbit_closure, C, x))
             for F, f in zip(pairs_f, funcs):
                 assert f_eval(F, lift(x)) == f_eval(f, x)
+    # the union's own point questions, and those of a union nesting it
+    N = UnionSystem((Y, U))
+    for i, C in enumerate((X, Y)):
+        into_u, into_n = lifted_into(U, i), lifted_into(N, 1)
+        for W, lift in ((U, into_u), (N, lambda v: into_n(into_u(v)))):
+            for x in sample_points(C):
+                for k in (-2, 0, 5):
+                    assert answer(W.apply_sigma, lift(x), k) == lift(answer(C.apply_sigma, x, k))
+                assert answer(W.period, lift(x)) == answer(C.period, x)
+                assert answer(W.orbit_points, lift(x)) == lift(answer(C.orbit_points, x))
     reps = [answer(lambda s=s: s.orbit_reps()) for s in (U, X, Y)]
     assert_concatenated(U, reps[0], reps[1:])
     assert is_free(U) == (is_free(X) and is_free(Y))
