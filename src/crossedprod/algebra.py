@@ -173,6 +173,7 @@ def fourier_eval(a: Element, x: Point, lam):
     """The transform value sum_n lam**n a_n(x)."""
     validate_point(a.system, x)
     sc.check_unimodular(lam)
+    a, lam = unify_lam(a, lam)
     total = None
     for n, f in a.coeffs.items():
         term = sc.unit_pow(lam, n) * a.system.eval(f, x)
@@ -187,9 +188,18 @@ def demote_to_float(a: Element) -> Element:
     return _element(a.system, {n: a.system.demote(f) for n, f in a.coeffs.items()})
 
 
+def unify_lam(a: Element, lam):
+    """Bring lam and the element into one numeric mode."""
+    if a.exact and not sc.is_exact(lam):
+        return demote_to_float(a), complex(lam)
+    if not a.exact and sc.is_exact(lam):
+        return a, complex(lam)
+    return a, lam
+
+
 def elem_is_zero(a: Element, tol: float = 0.0) -> bool:
     return all(f_is_zero(f, tol) for f in a.coeffs.values())
 
 
-def elem_close(a: Element, b: Element, tol: float = 1e-9) -> bool:
+def elem_close(a: Element, b: Element, tol: float = sc.DEFAULT_TOL) -> bool:
     return elem_is_zero(alg_sub(a, b), tol)

@@ -19,7 +19,7 @@ from .funcspace import (
     zero_func,
 )
 from .galois import (
-    CheckReport, _report, check_assumption, check_fixed_point_laws, check_min_max,
+    CheckReport, Tally, check_assumption, check_fixed_point_laws, check_min_max,
     check_order_reflection, check_three_maps, classical_pair,
     hull_kernel_pair, zeros_synth_pair,
 )
@@ -34,125 +34,101 @@ from .transform import zeros_of_ideal
 def suite_algebra_axioms(system, exact: bool, seed: int, tol: float,
                          rounds: int = 60) -> CheckReport:
     rng = random.Random(seed)
-    failures = []
-    checked = 0
+    t = Tally("algebra.axioms")
     one = unit(system, exact)
     for _ in range(rounds):
         a = random_element(system, rng, 3, exact)
         b = random_element(system, rng, 3, exact)
         c = random_element(system, rng, 3, exact)
-        checked += 6
-        if not elem_close(alg_mul(alg_mul(a, b), c), alg_mul(a, alg_mul(b, c)), tol):
-            failures.append("associativity")
-        if not elem_close(alg_mul(a, alg_add(b, c)),
-                          alg_add(alg_mul(a, b), alg_mul(a, c)), tol):
-            failures.append("distributivity")
-        if not (elem_close(alg_mul(one, a), a, tol) and elem_close(alg_mul(a, one), a, tol)):
-            failures.append("unit")
-        if not elem_close(alg_adj(alg_mul(a, b)), alg_mul(alg_adj(b), alg_adj(a)), tol):
-            failures.append("involution anti-multiplicativity")
-        if alg_norm(alg_mul(a, b)) > alg_norm(a) * alg_norm(b) + tol:
-            failures.append("submultiplicativity")
-        if abs(alg_norm(alg_adj(a)) - alg_norm(a)) > tol:
-            failures.append("adjoint isometry")
-    return _report("algebra.axioms", checked, failures)
+        t.check(elem_close(alg_mul(alg_mul(a, b), c), alg_mul(a, alg_mul(b, c)), tol),
+                "associativity")
+        t.check(elem_close(alg_mul(a, alg_add(b, c)), alg_add(alg_mul(a, b), alg_mul(a, c)), tol),
+                "distributivity")
+        t.check(elem_close(alg_mul(one, a), a, tol) and elem_close(alg_mul(a, one), a, tol),
+                "unit")
+        t.check(elem_close(alg_adj(alg_mul(a, b)), alg_mul(alg_adj(b), alg_adj(a)), tol),
+                "involution anti-multiplicativity")
+        t.check(not alg_norm(alg_mul(a, b)) > alg_norm(a) * alg_norm(b) + tol,
+                "submultiplicativity")
+        t.check(not abs(alg_norm(alg_adj(a)) - alg_norm(a)) > tol, "adjoint isometry")
+    return t.report()
 
 
 def suite_expectation(system, exact: bool, seed: int, tol: float,
                       rounds: int = 60) -> CheckReport:
     rng = random.Random(seed)
-    failures = []
-    checked = 0
+    t = Tally("expectation.laws")
     for _ in range(rounds):
         a = random_element(system, rng, 3, exact)
         f = random_func(system, rng, exact)
         g = random_func(system, rng, exact)
-        checked += 4
         lhs = expectation(alg_mul(alg_mul(from_func(f), a), from_func(g)))
         rhs = f_mul(f_mul(f, g), expectation(a))
-        if not f_is_zero(f_sub(lhs, rhs), tol):
-            failures.append("two-sided function multiplication")
+        t.check(f_is_zero(f_sub(lhs, rhs), tol), "two-sided function multiplication")
         d = delta_power(system, 1, exact)
         dinv = delta_power(system, -1, exact)
         lhs2 = expectation(alg_mul(alg_mul(d, a), dinv))
-        if not f_is_zero(f_sub(lhs2, f_compose_sigma(expectation(a), -1)), tol):
-            failures.append("conjugation by the shift generator")
+        t.check(f_is_zero(f_sub(lhs2, f_compose_sigma(expectation(a), -1)), tol),
+                "conjugation by the shift generator")
         star = alg_mul(alg_adj(a), a)
         got = expectation(star)
         want = zero_func(system, exact)
         for n, fn in a.coeffs.items():
             shifted = f_compose_sigma(fn, n)
             want = f_add(want, f_mul(f_conj(shifted), shifted))
-        if not f_is_zero(f_sub(got, want), max(tol, 1e-8)):
-            failures.append("positive square formula")
-        if alg_norm(from_func(expectation(a))) > alg_norm(a) + tol:
-            failures.append("contractivity")
-    return _report("expectation.laws", checked, failures)
+        t.check(f_is_zero(f_sub(got, want), max(tol, 1e-8)), "positive square formula")
+        t.check(not alg_norm(from_func(expectation(a))) > alg_norm(a) + tol, "contractivity")
+    return t.report()
 
 
 def suite_reps_kernel(system, exact: bool, seed: int, tol: float,
                       rounds: int = 40) -> CheckReport:
     rng = random.Random(seed)
-    failures = []
-    checked = 0
+    t = Tally("reps.kernel")
     # the badly behaved canonical handles are exactly the Pxl kernels
     handles = [h for h in canonical_handles(system, exact=exact) if h.behaviour(tol).kind == "bad"]
-    if not handles:
-        return _report("reps.kernel", 0, [])
-    for _ in range(rounds):
+    for _ in range(rounds if handles else 0):
         I = rng.choice(handles)
         a = random_member(I, rng, 2, exact) if rng.random() < 0.5 \
             else random_element(system, rng, 2, exact)
-        checked += 1
         member = ideal_member(I, a, tol)
         mat = rep_is_zero(rep_periodic(system, I.x, I.lam, a), max(tol, 1e-8))
-        if member != mat:
-            failures.append(f"membership and matrix kernel disagree on {I!r}")
-    return _report("reps.kernel", checked, failures)
+        t.check(member == mat, "membership and matrix kernel disagree on {!r}", I)
+    return t.report()
 
 
 def suite_dual_average(system, exact: bool, seed: int, tol: float,
                        rounds: int = 50) -> CheckReport:
     rng = random.Random(seed)
-    failures = []
-    checked = 0
+    t = Tally("dual.average")
     for _ in range(rounds):
         a = random_element(system, rng, 3, exact)
         M = 2 * a.support_radius() + 1 + rng.randint(0, 3)
-        checked += 2
-        if not elem_close(dual_average(a, M), from_func(expectation(a)), 0.0 if exact else tol):
-            failures.append("average beyond the support radius")
+        t.check(elem_close(dual_average(a, M), from_func(expectation(a)), 0.0 if exact else tol),
+                "average beyond the support radius")
         lam = random_unimodular(rng, exact)
-        if abs(alg_norm(dual_action(a, lam)) - alg_norm(a)) > max(tol, 1e-8):
-            failures.append("dual action not isometric")
-    return _report("dual.average", checked, failures)
+        t.check(not abs(alg_norm(dual_action(a, lam)) - alg_norm(a)) > max(tol, 1e-8),
+                "dual action not isometric")
+    return t.report()
 
 
 def suite_inclusion_table(system, exact: bool, seed: int, tol: float,
                           samples: int = 25) -> CheckReport:
     rng = random.Random(seed)
-    failures = []
-    checked = 0
+    t = Tally("inclusion.table")
     handles = canonical_handles(system, exact=exact)
     for I in handles:
         for J in handles:
             predicted = ideal_inclusion(I, J)
-            sampled = True
-            for _ in range(samples):
-                m = random_member(I, rng, 2, exact)
-                if not ideal_member(J, m, tol):
-                    sampled = False
-                    break
-            checked += 1
-            if predicted and not sampled:
-                failures.append(f"table says {I!r} <= {J!r} but a member escapes")
-            if not predicted and sampled:
-                # sampling may miss a separating element; try harder before flagging
-                extra = all(ideal_member(J, random_member(I, rng, 3, exact), tol)
-                            for _ in range(4 * samples))
-                if extra:
-                    failures.append(f"table denies {I!r} <= {J!r} but sampling agrees")
-    return _report("inclusion.table", checked, failures)
+            sampled = all(ideal_member(J, random_member(I, rng, 2, exact), tol)
+                          for _ in range(samples))
+            if predicted:
+                t.check(sampled, "table says {!r} <= {!r} but a member escapes", I, J)
+            else:  # sampling may miss a separating element; try harder before flagging
+                t.check(not (sampled and all(ideal_member(J, random_member(I, rng, 3, exact), tol)
+                                             for _ in range(4 * samples))),
+                        "table denies {!r} <= {!r} but sampling agrees", I, J)
+    return t.report()
 
 
 def _galois_samples(system, kind: str, seed: int, count: int):
@@ -176,14 +152,14 @@ def suite_galois(system, kind: str, seed: int, count: int = 40) -> CheckReport:
     pair, a_samples, b_samples = _galois_samples(system, kind, seed, count)
     a_samples = list(a_samples)[:count]
     b_samples = list(b_samples)[:count]
-    out = check_assumption(pair, a_samples, b_samples)
-    out = out.merged_with(check_three_maps(pair, a_samples, b_samples))
-    out = out.merged_with(check_fixed_point_laws(pair, a_samples, b_samples))
+    reports = [check(pair, a_samples, b_samples)
+               for check in (check_assumption, check_three_maps, check_fixed_point_laws)]
     fixed = [pair.beta(pair.alpha(a)) for a in a_samples]
     for a in a_samples[: max(3, count // 8)]:
-        out = out.merged_with(check_min_max(pair, a, fixed))
-        out = out.merged_with(check_order_reflection(pair, pair.beta(pair.alpha(a)), a_samples))
-    return CheckReport(f"galois.{kind}", out.ok, out.checked, out.failures)
+        reports += [check_min_max(pair, a, fixed),
+                    check_order_reflection(pair, pair.beta(pair.alpha(a)), a_samples)]
+    return CheckReport(f"galois.{kind}", sum(r.checked for r in reports),
+                       sum((r.failures for r in reports), ()))
 
 
 SUITES = {

@@ -86,6 +86,12 @@ def _set_count(rep) -> str:
     return "infinite" if n is None else str(n)
 
 
+def _add_report(out: _Output, r) -> int:
+    """A check report's line, its failure lines as witnesses; its exit code."""
+    out.add(f"{r.name}: {'ok' if r.ok else 'FAIL'} ({r.checked} checks)", r.failures)
+    return 0 if r.ok else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="crossedprod",
@@ -281,16 +287,10 @@ def _dispatch(args, cfg: SystemConfig) -> int:
                 tuple(f"damping[{n}]={fmt_real(v)}" for n, v in sorted(rep.damping.items())))
     elif args.command == "galois":
         from .checks import suite_galois
-        r = suite_galois(system, args.instantiation, args.seed, args.samples)
-        out.add(f"{r.name}: {'ok' if r.ok else 'FAIL'} ({r.checked} checks)",
-                r.failures)
-        code = 0 if r.ok else 1
+        code = _add_report(out, suite_galois(system, args.instantiation, args.seed, args.samples))
     elif args.command == "check":
         from .checks import SUITES
-        r = SUITES[args.suite](system, exact, args.seed, tol)
-        out.add(f"{r.name}: {'ok' if r.ok else 'FAIL'} ({r.checked} checks)",
-                r.failures)
-        code = 0 if r.ok else 1
+        code = _add_report(out, SUITES[args.suite](system, exact, args.seed, tol))
     elif args.command == "minimality":
         from .hullkernel import minimality_dichotomy
         rep = minimality_dichotomy(system)

@@ -42,84 +42,81 @@ def eq_b(pair: GaloisPair, x, y) -> bool:
 @record(eq=False)
 class CheckReport:
     name: str
-    ok: bool
     checked: int
     failures: tuple
 
-    def merged_with(self, other: "CheckReport") -> "CheckReport":
-        return CheckReport(self.name, self.ok and other.ok,
-                           self.checked + other.checked,
-                           self.failures + other.failures)
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
-def _report(name, checked, failures):
-    return CheckReport(name, not failures, checked, tuple(failures))
+class Tally:
+    """One law check's count and failure lines; a line is formatted only
+    when its check fails."""
+
+    def __init__(self, name: str):
+        self.name, self.checked, self.failures = name, 0, []
+
+    def check(self, ok, failure: str, *args, counted: bool = True) -> None:
+        """Count one check (none when not counted: a further condition of the
+        check just counted); on failure add ``failure.format(*args)``."""
+        self.checked += counted
+        if not ok:
+            self.failures.append(failure.format(*args))
+
+    def report(self) -> CheckReport:
+        return CheckReport(self.name, self.checked, tuple(self.failures))
 
 
 def check_assumption(pair: GaloisPair, a_samples, b_samples) -> CheckReport:
     """Extensivity of both compositions and order reversal of both maps."""
-    failures = []
-    checked = 0
+    t = Tally(f"{pair.name}: assumption")
     for a in a_samples:
-        checked += 1
-        if not pair.leq_a(a, pair.beta(pair.alpha(a))):
-            failures.append(f"beta(alpha(a)) does not dominate a for a={a!r}")
+        t.check(pair.leq_a(a, pair.beta(pair.alpha(a))),
+                "beta(alpha(a)) does not dominate a for a={!r}", a)
     for b in b_samples:
-        checked += 1
-        if not pair.leq_b(b, pair.alpha(pair.beta(b))):
-            failures.append(f"alpha(beta(b)) does not dominate b for b={b!r}")
+        t.check(pair.leq_b(b, pair.alpha(pair.beta(b))),
+                "alpha(beta(b)) does not dominate b for b={!r}", b)
     for a1 in a_samples:
         for a2 in a_samples:
             if pair.leq_a(a1, a2):
-                checked += 1
-                if not pair.leq_b(pair.alpha(a2), pair.alpha(a1)):
-                    failures.append(f"alpha not order-reversing on ({a1!r}, {a2!r})")
+                t.check(pair.leq_b(pair.alpha(a2), pair.alpha(a1)),
+                        "alpha not order-reversing on ({!r}, {!r})", a1, a2)
     for b1 in b_samples:
         for b2 in b_samples:
             if pair.leq_b(b1, b2):
-                checked += 1
-                if not pair.leq_a(pair.beta(b2), pair.beta(b1)):
-                    failures.append(f"beta not order-reversing on ({b1!r}, {b2!r})")
-    return _report(f"{pair.name}: assumption", checked, failures)
+                t.check(pair.leq_a(pair.beta(b2), pair.beta(b1)),
+                        "beta not order-reversing on ({!r}, {!r})", b1, b2)
+    return t.report()
 
 
 def check_three_maps(pair: GaloisPair, a_samples, b_samples) -> CheckReport:
     """alpha.beta.alpha = alpha and beta.alpha.beta = beta on samples."""
-    failures = []
-    checked = 0
+    t = Tally(f"{pair.name}: triple composition")
     for a in a_samples:
-        checked += 1
-        lhs = pair.alpha(pair.beta(pair.alpha(a)))
-        if not eq_b(pair, lhs, pair.alpha(a)):
-            failures.append(f"alpha.beta.alpha differs from alpha at {a!r}")
+        t.check(eq_b(pair, pair.alpha(pair.beta(pair.alpha(a))), pair.alpha(a)),
+                "alpha.beta.alpha differs from alpha at {!r}", a)
     for b in b_samples:
-        checked += 1
-        lhs = pair.beta(pair.alpha(pair.beta(b)))
-        if not eq_a(pair, lhs, pair.beta(b)):
-            failures.append(f"beta.alpha.beta differs from beta at {b!r}")
-    return _report(f"{pair.name}: triple composition", checked, failures)
+        t.check(eq_a(pair, pair.beta(pair.alpha(pair.beta(b))), pair.beta(b)),
+                "beta.alpha.beta differs from beta at {!r}", b)
+    return t.report()
 
 
 def check_fixed_point_laws(pair: GaloisPair, a_samples, b_samples) -> CheckReport:
     """Idempotence of both closures, image = fixed set, and the singleton
     preimage law among sampled fixed points."""
-    failures = []
-    checked = 0
+    t = Tally(f"{pair.name}: fixed points")
     ba = lambda a: pair.beta(pair.alpha(a))
     ab = lambda b: pair.alpha(pair.beta(b))
     for a in a_samples:
-        checked += 2
-        if not eq_a(pair, ba(ba(a)), ba(a)):
-            failures.append(f"beta.alpha not idempotent at {a!r}")
+        t.check(eq_a(pair, ba(ba(a)), ba(a)), "beta.alpha not idempotent at {!r}", a)
         # image point beta(alpha(a)) must be fixed (image = fixed set)
-        if not eq_a(pair, ba(a), pair.beta(pair.alpha(ba(a)))):
-            failures.append(f"image element not fixed at {a!r}")
+        t.check(eq_a(pair, ba(a), pair.beta(pair.alpha(ba(a)))),
+                "image element not fixed at {!r}", a)
     for b in b_samples:
-        checked += 2
-        if not eq_b(pair, ab(ab(b)), ab(b)):
-            failures.append(f"alpha.beta not idempotent at {b!r}")
-        if not eq_b(pair, ab(b), pair.alpha(pair.beta(ab(b)))):
-            failures.append(f"image element not fixed at {b!r}")
+        t.check(eq_b(pair, ab(ab(b)), ab(b)), "alpha.beta not idempotent at {!r}", b)
+        t.check(eq_b(pair, ab(b), pair.alpha(pair.beta(ab(b)))),
+                "image element not fixed at {!r}", b)
     # singleton preimage: fixed elements mapping to alpha(a) equal beta(alpha(a))
     fixed = [ba(a) for a in a_samples]
     for a in a_samples:
@@ -127,47 +124,38 @@ def check_fixed_point_laws(pair: GaloisPair, a_samples, b_samples) -> CheckRepor
         expect = ba(a)
         for fp in fixed:
             if eq_b(pair, pair.alpha(fp), target):
-                checked += 1
-                if not eq_a(pair, fp, expect):
-                    failures.append(
-                        f"two distinct fixed points share the image of {a!r}"
-                    )
-    return _report(f"{pair.name}: fixed points", checked, failures)
+                t.check(eq_a(pair, fp, expect),
+                        "two distinct fixed points share the image of {!r}", a)
+    return t.report()
 
 
 def check_min_max(pair: GaloisPair, a, fixed_candidates) -> CheckReport:
     """beta(alpha(a)) is least among fixed candidates dominating a, and
-    greatest among candidates with the same alpha image."""
-    failures = []
-    checked = 0
+    greatest among candidates with the same alpha image.  Each candidate
+    counts once; the closure's dominance of a is not counted."""
+    t = Tally(f"{pair.name}: min/max")
     m = pair.beta(pair.alpha(a))
-    if not pair.leq_a(a, m):
-        failures.append(f"closure does not dominate {a!r}")
+    t.check(pair.leq_a(a, m), "closure does not dominate {!r}", a, counted=False)
     for c in fixed_candidates:
-        checked += 1
-        if pair.leq_a(a, c) and not pair.leq_a(m, c):
-            failures.append(f"fixed candidate {c!r} dominates a but not the closure")
-        if eq_b(pair, pair.alpha(c), pair.alpha(a)) and not pair.leq_a(c, m):
-            failures.append(f"candidate {c!r} shares the image but exceeds the closure")
-    return _report(f"{pair.name}: min/max", checked, failures)
+        t.check(not pair.leq_a(a, c) or pair.leq_a(m, c),
+                "fixed candidate {!r} dominates a but not the closure", c)
+        t.check(not eq_b(pair, pair.alpha(c), pair.alpha(a)) or pair.leq_a(c, m),
+                "candidate {!r} shares the image but exceeds the closure", c, counted=False)
+    return t.report()
 
 
 def check_order_reflection(pair: GaloisPair, a, a_samples) -> CheckReport:
     """For a fixed point a: a' below a exactly when alpha(a') dominates
-    alpha(a).  Non-fixed a are rejected."""
-    failures = []
-    checked = 0
+    alpha(a).  A non-fixed a is one failing check."""
+    t = Tally(f"{pair.name}: order reflection")
     if not eq_a(pair, pair.beta(pair.alpha(a)), a):
-        return _report(f"{pair.name}: order reflection", 1,
-                       [f"{a!r} is not a fixed point of beta.alpha"])
+        t.check(False, "{!r} is not a fixed point of beta.alpha", a)
+        return t.report()
     fa = pair.alpha(a)
     for ap in a_samples:
-        checked += 1
-        lhs = pair.leq_a(ap, a)
-        rhs = pair.leq_b(fa, pair.alpha(ap))
-        if lhs != rhs:
-            failures.append(f"reflection fails at {ap!r}")
-    return _report(f"{pair.name}: order reflection", checked, failures)
+        t.check(pair.leq_a(ap, a) == pair.leq_b(fa, pair.alpha(ap)),
+                "reflection fails at {!r}", ap)
+    return t.report()
 
 
 # ---------------------------------------------------------------------------

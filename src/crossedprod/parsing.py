@@ -377,7 +377,7 @@ def parse_config(text: str) -> SystemConfig:
 def _config(s: _Stream) -> SystemConfig:
     system = None
     mode = "float"
-    tol = 1e-9
+    tol = sc.DEFAULT_TOL
     while not s.at_end():
         key = s.expect_name("system", "mode", "tolerance")
         if key.text == "system":

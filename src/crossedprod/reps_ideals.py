@@ -8,14 +8,12 @@ handle's ``repr`` is its literal, which :func:`read_ideal` reads back.
 
 from __future__ import annotations
 
-import cmath
-import math
 from functools import reduce
 from itertools import takewhile
 from operator import add
 
 from . import scalars as sc
-from .algebra import Element, alg_add, alg_adj, alg_mul, demote_to_float, element, from_func
+from .algebra import Element, alg_add, alg_adj, alg_mul, element, from_func, unify_lam
 from .dynsys import Func, Point, is_invariant_closed, validate_point
 from .errors import SystemMismatchError, UnsupportedQueryError
 from .records import record
@@ -57,15 +55,6 @@ def rep_is_zero(M: RepMatrix, tol: float = DEFAULT_TOL) -> bool:
     return all(sc.is_zero(v, tol) for row in M.entries for v in row)
 
 
-def _unify_lam(a: Element, lam):
-    """Bring lam and the element into one numeric mode."""
-    if a.exact and not sc.is_exact(lam):
-        return demote_to_float(a), complex(lam)
-    if not a.exact and sc.is_exact(lam):
-        return a, complex(lam)
-    return a, lam
-
-
 def rep_periodic(system, x: Point, lam, a: Element) -> RepMatrix:
     """Matrix of the finite-dimensional representation at a periodic point."""
     validate_point(system, x)
@@ -75,15 +64,14 @@ def rep_periodic(system, x: Point, lam, a: Element) -> RepMatrix:
     if p is None:
         raise UnsupportedQueryError("rep_periodic needs a periodic point")
     sc.check_unimodular(lam)
-    a, lam = _unify_lam(a, lam)
-    exact = a.exact and sc.is_exact(lam)
+    a, lam = unify_lam(a, lam)
     orbit = system.orbit_points(x)
 
     # The unitary step matrix D has ones on the subdiagonal and lam in the
     # top-right corner, so D^n e_j = lam^q e_i with i = (j + n) mod p and
     # q = floor((j + n) / p); for n < 0 this is (D*)^|n|, where a negative
     # q stands for conj(lam)^|q|.
-    total = _zeros(p, exact)
+    total = _zeros(p, a.exact)
     for n, f in a.coeffs.items():
         diag = [system.eval(f, y) for y in orbit]
         for j in range(p):
@@ -246,7 +234,7 @@ class PxLambdaIdeal(IdealHandle):
     def member(self, a: Element, tol: float) -> bool:
         """The finite vanishing conditions cutting out the kernel: each
         residue sum along the orbit, weighted by powers of lam, is zero."""
-        a, lam = _unify_lam(a, self.lam)
+        a, lam = unify_lam(a, self.lam)
         for sums in residue_sums(a, self.x):
             terms = (sc.unit_pow(lam, l) * v for l, v in sums.items())
             if not sc.is_zero(reduce(add, terms), tol):
@@ -563,10 +551,7 @@ def separating_check(system, a: Element, tol: float = DEFAULT_TOL):
     n, x, val = found
     validate_point(system, x)  # a point of a's system: is it one of system's?
     if system.period(x) is not None:
-        N = a.support_radius()
-        order = 2 * N + 1
-        for k in range(order):
-            lam = cmath.exp(2j * math.pi * k / order)
+        for lam in sc.roots_of_unity(2 * a.support_radius() + 1):
             if not rep_is_zero(rep_periodic(system, x, lam, a), tol):
                 return SeparationWitness(x, n, val, "periodic", lam)
         raise AssertionError("no separating torus parameter found")

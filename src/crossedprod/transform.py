@@ -123,6 +123,7 @@ def lamset_contains(ls, mu, tol: float = ROOT_MATCH_TOL) -> bool:
 
 
 def torus_contains(T: TorusSubset, x: Point, mu, tol: float = ROOT_MATCH_TOL) -> bool:
+    validate_point(T.system, x)
     for e in T.entries:
         validate_point(T.system, e.point)
         xpart = T.system.orbit_closure(e.point)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from crossedprod.algebra import (
-    alg_add, alg_adj, alg_mul, alg_norm, alg_scale,
+    alg_add, alg_adj, alg_mul, alg_norm, alg_scale, alg_sub,
     delta_power, dual_action, dual_average, elem_close, elem_is_zero,
     expectation, fourier_eval, from_func, unit, zero_element,
 )
@@ -240,6 +240,17 @@ def test_fourier_eval_identities(cycle3, rng):
         ).conjugate()
         got = fourier_eval(alg_adj(a), x, lam)
         assert abs(complex(got) - want) < 1e-9
+
+
+def test_fourier_eval_brings_its_parameter_and_element_into_one_mode(cycle3):
+    # an exact element with a float parameter gives the float value, as
+    # rep_periodic and Pxl membership do; an exact parameter stays exact
+    from crossedprod.scalars import qc
+    a = alg_sub(unit(cycle3, exact=True), delta_power(cycle3, 3, exact=True))
+    got = fourier_eval(a, pt(0), 1j)
+    assert type(got) is complex and got == 1 + 1j
+    assert fourier_eval(a, pt(0), qc(0, 1)) == qc(1, 1)
+    assert fourier_eval(alg_sub(unit(cycle3), delta_power(cycle3, 3)), pt(0), qc(0, 1)) == 1 + 1j
 
 
 def test_fourier_eval_function_actions(cycle3, rng):

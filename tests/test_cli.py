@@ -72,12 +72,18 @@ def test_check_help_lists_every_suite_and_an_unknown_suite_is_a_usage_error():
     assert invoke(["--config", cfg, "check", "--suite", "no.such.suite"])[0] == 2
 
 
-@pytest.mark.parametrize("suite", ["reps.kernel", "inclusion.table"])
+EXACT_SUITE_CHECKS = {"algebra.axioms": 360, "dual.average": 100, "expectation.laws": 240,
+                      "galois.HK": 76, "galois.ZI": 82, "galois.hk": 4240,
+                      "inclusion.table": 16, "reps.kernel": 40}
+
+
+@pytest.mark.parametrize("suite", sorted(EXACT_SUITE_CHECKS))
 def test_check_suites_run_in_exact_mode(suite, capsys):
-    # the suites draw their torus parameters in the config's numeric mode
+    # the suites draw their torus parameters in the config's numeric mode;
+    # each passes, and its count of checks is pinned
     code, out = invoke(["--config", str(DATA / "cycle3_exact.cfg"), "check", "--suite", suite])
-    assert code in range(5)
     assert "Traceback" not in out + capsys.readouterr().err
+    assert (code, out) == (0, f"{suite}: ok ({EXACT_SUITE_CHECKS[suite]} checks)\n")
 
 
 def test_tolerance_env_override(monkeypatch):

@@ -13,7 +13,8 @@ points of ``dynsys``, only the two that check what a public name is
 handed.  Fresh interpreters check what ``import crossedprod.cli`` loads,
 that a command which finds unit-circle roots loads no numpy, that a
 command on a finite config loads only the layers it runs and no other
-model's module, and that the commands on it load no ``funcspace``.
+model's module, and that the commands on it load no ``funcspace``.  In the
+checking kit only ``galois.Tally`` counts a check or collects a failure line.
 """
 
 import ast
@@ -394,3 +395,51 @@ def test_the_layers_ask_the_system_directly():
         if sites:
             found[m] = sites
     assert not found, f"checked functions imported by the layers: {found}"
+
+
+COUNTERS = {"checked", "failures"}
+
+
+def tally_sites(source: str) -> list[int]:
+    """Lines outside ``class Tally`` that bind or bump a ``checked`` count or a
+    ``failures`` list (as a name or an attribute), or append to or extend a
+    ``failures`` list; a field annotation without a value binds nothing."""
+    sites = []
+
+    def visit(node):
+        if (isinstance(node, ast.ClassDef) and node.name == "Tally"
+                or isinstance(node, ast.AnnAssign) and node.value is None):
+            return
+        stored = (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store)
+                  and getattr(node, "id", getattr(node, "attr", "")) in COUNTERS)
+        f = getattr(node, "func", None)
+        added = (isinstance(node, ast.Call) and isinstance(f, ast.Attribute)
+                 and f.attr in ("append", "extend")
+                 and getattr(f.value, "id", getattr(f.value, "attr", "")) == "failures")
+        if stored or added:
+            sites.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sites
+
+
+def test_tally_guard_finds_what_it_looks_for():
+    src = ("checked = 0\n"
+           "failures = []\n"
+           "def f(t, r):\n    t.checked += 1\n"
+           "    failures.append(f'{r!r}')\n"
+           "    self.failures.extend(more)\n"
+           "    n, checked = 1, 2\n"
+           "class CheckReport:\n    checked: int\n    failures: tuple\n"
+           "class Tally:\n    def check(self):\n        self.checked += 1\n"
+           "        self.failures.append(1)\n"
+           "total = sum(r.checked for r in reports), report.failures + other\n")
+    assert tally_sites(src) == [1, 2, 4, 5, 6, 7]
+
+
+def test_only_the_tally_counts_checks_and_collects_failures():
+    # each law check and suite counts and reports through galois.Tally
+    found = {m: tally_sites((SRC / f"{m}.py").read_text()) for m in ("galois", "checks")}
+    assert not any(found.values()), f"checks counted outside Tally: {found}"

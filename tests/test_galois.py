@@ -121,6 +121,37 @@ def test_assumption_violation_is_reported(cycle3):
     fams = [(point_indicator(cycle3, pt(1)),)]
     rep = check_assumption(broken, fams, subs)
     assert not rep.ok and rep.failures
+    # every law's count and failure lines, in order; ok is derived from them
+    fam = "(f{0:0,1:1,2:0},)"
+    fixed = [pair.beta(FiniteSet(frozenset(s))) for s in ((), (0, 1, 2))]
+    reports = [rep, check_three_maps(broken, fams, subs),
+               check_fixed_point_laws(broken, fams, subs),
+               check_min_max(broken, fams[0], fixed + fams),
+               check_order_reflection(broken, fams[0], fams),
+               check_order_reflection(broken, broken.beta(subs[0]), fams)]
+    assert [(r.name, r.ok, r.checked, r.failures) for r in reports] == [
+        ("broken: assumption", False, 4, ("alpha(beta(b)) does not dominate b for b={0}",)),
+        ("broken: triple composition", False, 2,
+         (f"alpha.beta.alpha differs from alpha at {fam}",)),
+        ("broken: fixed points", True, 4, ()),
+        ("broken: min/max", False, 3, (f"fixed candidate {fam} dominates a but not the closure",)),
+        # a point that is not fixed is one failing check, and the law stops there
+        ("broken: order reflection", False, 1, (f"{fam} is not a fixed point of beta.alpha",)),
+        ("broken: order reflection", True, 1, ()),
+    ]
+
+
+def test_min_max_counts_each_candidate_once_and_not_the_closure(cycle3):
+    # with the ideal order reversed the closure no longer dominates a Pxl
+    # handle: that failure line is added, but only the candidates count
+    from crossedprod.galois import GaloisPair
+    hk = hull_kernel_pair(cycle3)
+    reversed_order = GaloisPair("reversed", alpha=hk.alpha, beta=hk.beta,
+                                leq_a=lambda I, J: hk.leq_a(J, I), leq_b=hk.leq_b)
+    fixed = [hk.beta(S) for S in cycle3.invariant_closed_sets()]
+    rep = check_min_max(reversed_order, canonical_px_lambda(cycle3, pt(0), 1), fixed)
+    assert (rep.ok, rep.checked, rep.failures) == (
+        False, len(fixed), ("closure does not dominate Pxl(0, 1)",))
 
 
 def test_torus_leq(cycle3):

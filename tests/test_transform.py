@@ -328,3 +328,20 @@ def test_rotation_generated_unsupported(golden_rotation):
     # irrational rotation: supported, gens vanish nowhere -> empty zeros
     I = generated_ideal(golden_rotation, [unit(golden_rotation)])
     assert torus_is_empty(zeros_of_ideal(I))
+
+
+def test_torus_contains_refuses_a_point_of_another_system(cycle3, shift_union_cycle3,
+                                                          rational_rotation):
+    # the query point is checked like the entries' points: a point with no
+    # union path, a component index out of range, a coordinate off the
+    # finite system and a point of another model are refused, not answered
+    from crossedprod.errors import SystemMismatchError
+    cases = [(shift_union_cycle3, pt(0, 1), [pt(0), pt(0, 5), pt(7, 1)]),
+             (cycle3, pt(0), [pt(7)]),
+             (rational_rotation, pt(0), [pt(INF), pt(0, 1)])]
+    for system, x, bad in cases:
+        Z = zeros_of_ideal(canonical_qx(system, x))
+        assert torus_contains(Z, x, 1j)
+        for y in bad:
+            with pytest.raises(SystemMismatchError):
+                torus_contains(Z, y, 1)
