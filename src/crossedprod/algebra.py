@@ -8,6 +8,8 @@ elements, so no truncation is ever performed.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from . import scalars as sc
 from .dynsys import Func, Point, f_is_zero, validate_point
 from .errors import ModeMismatchError, SystemMismatchError
@@ -107,6 +109,8 @@ def alg_add(a: Element, b: Element) -> Element:
 
 
 def alg_scale(c, a: Element) -> Element:
+    if a.coeffs and sc.is_exact(c) != a.exact:  # the zero element has no mode
+        raise ModeMismatchError("exact and floating scalars mixed")
     return _element(a.system, {n: a.system.scale(c, f) for n, f in a.coeffs.items()})
 
 
@@ -150,8 +154,9 @@ def expectation(a: Element) -> Func:
 
 
 def dual_action(a: Element, lam) -> Element:
-    """Scale the n-th coefficient by lam**n for unimodular lam."""
+    """Scale the n-th coefficient by lam**n for unimodular lam, in unify_lam's mode."""
     sc.check_unimodular(lam)
+    a, lam = unify_lam(a, lam)
     return _element(a.system, {
         n: a.system.scale(sc.unit_pow(lam, n), f) for n, f in a.coeffs.items()
     })
@@ -169,18 +174,19 @@ def dual_average(a: Element, order: int) -> Element:
     return _element(a.system, {n: f for n, f in a.coeffs.items() if n % order == 0})
 
 
+def fourier_func(a: Element, lam) -> Func:
+    """The transform of a at lam, x -> sum_n lam**n a_n(x), in unify_lam's mode."""
+    a, lam = unify_lam(a, lam)
+    system = a.system
+    terms = [system.scale(sc.unit_pow(lam, n), f) for n, f in a.coeffs.items()]
+    return reduce(system.add, terms) if terms else system.const(sc.zero_like(a.exact))
+
+
 def fourier_eval(a: Element, x: Point, lam):
     """The transform value sum_n lam**n a_n(x)."""
     validate_point(a.system, x)
     sc.check_unimodular(lam)
-    a, lam = unify_lam(a, lam)
-    total = None
-    for n, f in a.coeffs.items():
-        term = sc.unit_pow(lam, n) * a.system.eval(f, x)
-        total = term if total is None else total + term
-    if total is None:
-        return sc.zero_like(a.exact)
-    return total
+    return a.system.eval(fourier_func(a, lam), x)
 
 
 def demote_to_float(a: Element) -> Element:

@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import random
 
+from . import scalars as sc
 from .algebra import (
     alg_add, alg_adj, alg_mul, alg_norm, delta_power, dual_action,
     dual_average, elem_close, expectation, from_func, unit,
 )
+from .dynsys import f_is_zero
 from .errors import UnsupportedQueryError
-from .funcspace import (
-    f_add, f_compose_sigma, f_conj, f_is_zero, f_mul, f_sub, f_zero_set,
-    zero_func,
-)
 from .galois import (
     CheckReport, Tally, check_assumption, check_fixed_point_laws, check_min_max,
     check_order_reflection, check_three_maps, classical_pair,
@@ -54,6 +52,12 @@ def suite_algebra_axioms(system, exact: bool, seed: int, tol: float,
     return t.report()
 
 
+def _close(f, g, tol: float) -> bool:
+    """Whether f - g vanishes within tol, as funcspace.func_close decides."""
+    neg = sc.qc(-1) if g.exact else -1 + 0j
+    return f_is_zero(f.system.add(f, f.system.scale(neg, g)), tol)
+
+
 def suite_expectation(system, exact: bool, seed: int, tol: float,
                       rounds: int = 60) -> CheckReport:
     rng = random.Random(seed)
@@ -63,20 +67,20 @@ def suite_expectation(system, exact: bool, seed: int, tol: float,
         f = random_func(system, rng, exact)
         g = random_func(system, rng, exact)
         lhs = expectation(alg_mul(alg_mul(from_func(f), a), from_func(g)))
-        rhs = f_mul(f_mul(f, g), expectation(a))
-        t.check(f_is_zero(f_sub(lhs, rhs), tol), "two-sided function multiplication")
+        rhs = system.mul(system.mul(f, g), expectation(a))
+        t.check(_close(lhs, rhs, tol), "two-sided function multiplication")
         d = delta_power(system, 1, exact)
         dinv = delta_power(system, -1, exact)
         lhs2 = expectation(alg_mul(alg_mul(d, a), dinv))
-        t.check(f_is_zero(f_sub(lhs2, f_compose_sigma(expectation(a), -1)), tol),
+        t.check(_close(lhs2, system.compose_sigma(expectation(a), -1), tol),
                 "conjugation by the shift generator")
         star = alg_mul(alg_adj(a), a)
         got = expectation(star)
-        want = zero_func(system, exact)
+        want = system.const(sc.zero_like(exact))
         for n, fn in a.coeffs.items():
-            shifted = f_compose_sigma(fn, n)
-            want = f_add(want, f_mul(f_conj(shifted), shifted))
-        t.check(f_is_zero(f_sub(got, want), max(tol, 1e-8)), "positive square formula")
+            shifted = system.compose_sigma(fn, n)
+            want = system.add(want, system.mul(system.conj(shifted), shifted))
+        t.check(_close(got, want, max(tol, 1e-8)), "positive square formula")
         t.check(not alg_norm(from_func(expectation(a))) > alg_norm(a) + tol, "contractivity")
     return t.report()
 
@@ -136,7 +140,8 @@ def _galois_samples(system, kind: str, seed: int, count: int):
     if kind == "hk":
         fams = [tuple(random_func(system, rng) for _ in range(rng.randint(1, 3)))
                 for _ in range(count)]
-        subs = [f_zero_set(random_func(system, rng)) for _ in range(max(2, count // 2))]
+        subs = [system.zero_set(random_func(system, rng), sc.DEFAULT_TOL)
+                for _ in range(max(2, count // 2))]
         return classical_pair(system), fams, subs
     handles = canonical_handles(system)
     sets_inv = system.invariant_closed_sets()

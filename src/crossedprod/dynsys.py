@@ -9,8 +9,9 @@ machinery needs.  The system class owns its model: point checks and sigma
 iteration, the set algebra, the kernels of the function model :class:`Func`,
 and the syntax of its config declaration, function literal and set
 literals, both written and read.  This module holds what the models share
-(points, :class:`Func` and its zero test, the leaf defaults), resolves each model's classes by
-name on first use (the parser finds a declared model's class that way, and
+(points, :class:`Func` and its zero test, the model base :class:`_Model` and
+the leaf defaults :class:`_Leaf`), resolves each model's classes by name on
+first use (the parser finds a declared model's class that way, and
 ``dynsys.FiniteSet`` and the like still answer), and has the checked entry
 points.
 
@@ -148,7 +149,33 @@ def rotation_phase(system, m: int) -> complex:
 # Systems
 
 
-class _Leaf:
+class _Model:
+    """What every model, union included, answers the same way."""
+
+    __slots__ = ()
+
+    def is_free(self) -> bool:
+        """No periodic point: the condition of the spectral synthesis theorem."""
+        return self.some_periodic_point() is None
+
+    def orbit_points(self, x: Point) -> list[Point]:
+        p = self.period(x)
+        if p is None:
+            raise UnsupportedQueryError("orbit_points needs a periodic point")
+        return [self.apply_sigma(x, k) for k in range(p)]
+
+    def points(self) -> list[Point]:
+        raise UnsupportedQueryError("point enumeration needs finite components")
+
+    def character(self, m: int) -> Func:
+        """The circle character z^m, on the rotation model only."""
+        raise UnsupportedQueryError("character averaging runs on the rotation model")
+
+    def exceptional_ints(self, f: Func) -> set:
+        return set()
+
+
+class _Leaf(_Model):
     """Methods shared by the three leaf models.
 
     A point handed to a leaf method may carry the path of the union the
@@ -169,12 +196,6 @@ class _Leaf:
         if isinstance(v, (float, Fraction)) and not float(v).is_integer():
             return None
         return int(v)
-
-    def orbit_points(self, x: Point) -> list[Point]:
-        p = self.period(x)
-        if p is None:
-            raise UnsupportedQueryError("orbit_points needs a periodic point")
-        return [self.apply_sigma(x, k) for k in range(p)]
 
     def orbit_closure(self, x: Point):
         if self.period(x) is None:
@@ -219,13 +240,6 @@ class _Leaf:
 
     def algnorm(self, f: Func) -> float:
         return self.supnorm_bounds(f)[0]
-
-    def exceptional_ints(self, f: Func) -> set:
-        return set()
-
-    def character(self, m: int) -> Func:
-        """The circle character z^m, on the rotation model only."""
-        raise UnsupportedQueryError("character averaging runs on the rotation model")
 
 
 _MODELS = {name: module for module, names in {

@@ -134,9 +134,6 @@ class FiniteSystem(_Leaf):
     def points(self) -> list[Point]:
         return [Point(i) for i in range(self.size)]
 
-    def is_free(self) -> bool:
-        return False
-
     def is_minimal(self) -> bool:
         return self.period(Point(0)) == self.size
 

@@ -8,7 +8,8 @@ rational scalars.
 
 Each model's kernels are methods of its system class, in that model's own
 module; :class:`Func` and :func:`f_is_zero` live in :mod:`.dynsys`.  The
-functions here check their arguments and call the method, for users and ``checks``.
+functions here check their arguments, numeric modes included, and call the
+method, for users: the library's own layers call the methods directly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from . import scalars as sc
 from .dynsys import Func as Func, Point, f_is_zero as f_is_zero, validate_point
 from .dynsys import rotation_phase as rotation_phase
-from .errors import SystemMismatchError
+from .errors import ModeMismatchError, SystemMismatchError
 from .scalars import DEFAULT_TOL as DEFAULT_TOL, unit_circle_roots as unit_circle_roots
 
 
@@ -65,6 +66,8 @@ def point_indicator(system, x: Point, exact: bool = False) -> Func:
 def _check_pair(f: Func, g: Func) -> None:
     if f.system != g.system:
         raise SystemMismatchError("functions live on different systems")
+    if f.exact != g.exact:
+        raise ModeMismatchError("exact and floating functions mixed")
 
 
 def f_add(f: Func, g: Func) -> Func:
@@ -83,6 +86,8 @@ def f_mul(f: Func, g: Func) -> Func:
 
 
 def f_scale(c, f: Func) -> Func:
+    if sc.is_exact(c) != f.exact:
+        raise ModeMismatchError("exact and floating scalars mixed")
     return f.system.scale(c, f)
 
 

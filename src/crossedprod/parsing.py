@@ -109,6 +109,7 @@ class _Stream:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # system declarations open here, which a union bounds
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -280,8 +281,10 @@ class _Stream:
                     self.fail("negative power of a non-invertible element", at=t)
                 a = inv
             out = unit(system, exact)
-            for _ in range(n):
-                out = alg_mul(out, a)
+            for bit in bin(n)[2:]:  # square and multiply: the algebra is associative
+                out = alg_mul(out, out)
+                if bit == "1":
+                    out = alg_mul(out, a)
             return out
         return a
 
@@ -312,7 +315,10 @@ class _Stream:
     def sysdecl(self):
         t = self.expect_name("finite", "shift", "rotation", "union")
         self.expect("{")
-        return getattr(dynsys, t.text.capitalize() + "System").read_declaration(self)
+        self.depth += 1
+        system = getattr(dynsys, t.text.capitalize() + "System").read_declaration(self)
+        self.depth -= 1
+        return system
 
     def func(self, system, exact: bool):
         t = self.expect_name(*_FUNC_TAGS)

@@ -491,15 +491,10 @@ def ideal_member(I: IdealHandle, a: Element, tol: float = DEFAULT_TOL) -> bool:
 
 def escape_element(f: Func, lam, p: int) -> Element:
     """f - (f / lam) delta^p; lies in the lam-kernel at any point of period p
-    while its zero coefficient is f itself.  Modes are unified: the exact
-    path is taken only when both the function and lam are exact."""
-    if f.exact and sc.is_exact(lam):
-        neg = sc.qc(-1) * lam.conjugate()
-    else:
-        if f.exact:
-            f = f.system.demote(f)
-        neg = -complex(lam).conjugate()
-    return element(f.system, {0: f, p: f.system.scale(neg, f)})
+    while its zero coefficient is f itself, in the mode unify_lam gives."""
+    a, lam = unify_lam(from_func(f), lam)
+    f = a.coeff(0)
+    return element(f.system, {0: f, p: f.system.scale(-sc.conj(lam), f)})
 
 
 def ideal_behaviour(I: IdealHandle, tol: float = DEFAULT_TOL) -> BehaviourReport:

@@ -229,12 +229,6 @@ class RotationSystem(_Leaf):
             return [self.empty_set(), self.whole_space()]
         return None
 
-    def points(self) -> list[Point]:
-        raise UnsupportedQueryError("point enumeration needs finite components")
-
-    def is_free(self) -> bool:
-        return self.irrational
-
     def is_minimal(self) -> bool:
         return self.irrational
 

@@ -125,12 +125,6 @@ class ShiftSystem(_Leaf):
     def invariant_closed_sets(self):
         return [self.empty_set(), ShiftSet(frozenset(), True), self.whole_space()]
 
-    def points(self) -> list[Point]:
-        raise UnsupportedQueryError("point enumeration needs finite components")
-
-    def is_free(self) -> bool:
-        return False
-
     def is_minimal(self) -> bool:
         return False
 

@@ -15,8 +15,8 @@ import math
 from functools import cached_property
 
 from . import scalars as sc
-from .algebra import Element, alg_mul, demote_to_float, from_func
-from .dynsys import Func, Point, validate_point
+from .algebra import Element, alg_mul, fourier_func, from_func
+from .dynsys import Point, validate_point
 from .errors import SystemMismatchError
 from .records import record
 from .scalars import DEFAULT_TOL, ROOT_MATCH_TOL, poly_gcd, unit_circle_roots
@@ -247,8 +247,8 @@ def tilde_member(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> bool:
     """Whether the transform of a vanishes on all of T.
 
     For each entry the condition reduces to a single C(X)-model function,
-    the lambda-weighted sum of the coefficients, vanishing on the orbit
-    closure; the full-circle case asks every coefficient to vanish there.
+    the transform of a at each root, vanishing on the orbit closure; the
+    full-circle case asks every coefficient to vanish there.
     """
     system = T.system
     if a.system != system:
@@ -262,21 +262,9 @@ def tilde_member(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> bool:
                 return False
             continue
         for mu in roots:
-            h = _lambda_weighted_sum(a, mu)
-            if not system.vanishes_on(h, closure, tol):
+            if not system.vanishes_on(fourier_func(a, mu), closure, tol):
                 return False
     return True
-
-
-def _lambda_weighted_sum(a: Element, mu) -> Func:
-    """The function x -> sum_n mu**n a_n(x), evaluated in float mode."""
-    af = demote_to_float(a) if a.exact else a
-    system, mu = af.system, complex(mu)
-    acc = system.const(0j)
-    for n, f in af.coeffs.items():
-        w = mu ** n if n >= 0 else mu.conjugate() ** (-n)
-        acc = system.add(acc, system.scale(w, f))
-    return acc
 
 
 def ideal_member_via_S(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> bool:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import scalars as sc
-from .dynsys import Func, Point, _func, in_component
+from .dynsys import Func, Point, _func, _Model, in_component
 from .errors import SystemMismatchError, UnsupportedQueryError
 from .records import record
 
@@ -20,7 +20,7 @@ class UnionSet:
 
 
 @record
-class UnionSystem:
+class UnionSystem(_Model):
     """Disjoint union acting componentwise.
 
     Every method is the product of the component methods: it maps over the
@@ -30,6 +30,7 @@ class UnionSystem:
 
     components: tuple
     kind, func_tag, set_words = "union", "u", ("u",)
+    MAX_DEPTH = 32  # levels a config may nest: ample, and well inside the interpreter stack
 
     def __post_init__(self):
         if not self.components:
@@ -65,9 +66,6 @@ class UnionSystem:
 
     def period(self, x: Point):
         return self.leaf(x.path).period(x)
-
-    def orbit_points(self, x: Point) -> list[Point]:
-        return self.leaf(x.path).orbit_points(x)
 
     # closed sets
 
@@ -139,9 +137,6 @@ class UnionSystem:
     def points(self) -> list[Point]:
         return self._lifted(c.points() for c in self.components)
 
-    def is_free(self) -> bool:
-        return all(c.is_free() for c in self.components)
-
     def is_minimal(self) -> bool:
         return len(self.components) == 1 and self.components[0].is_minimal()
 
@@ -179,7 +174,9 @@ class UnionSystem:
     def read_declaration(cls, s):
         comps = []
         while not s.accept("}"):
-            s.expect_name("component")
+            t = s.expect_name("component")
+            if s.depth > cls.MAX_DEPTH:
+                s.fail(f"unions nested too deeply: at most {cls.MAX_DEPTH} levels", at=t)
             comps.append(s.sysdecl())
         return cls(tuple(comps))
 
@@ -300,9 +297,6 @@ class UnionSystem:
 
     def exceptional_ints(self, f: Func) -> set:
         return set().union(*(c.exceptional_ints(p) for c, p in zip(self.components, f.data)))
-
-    def character(self, m: int) -> Func:
-        raise UnsupportedQueryError("character averaging runs on the rotation model")
 
     # random functions, for the property suites
 

@@ -6,15 +6,17 @@ import pytest
 from crossedprod.algebra import (
     alg_add, alg_adj, alg_mul, alg_norm, alg_scale, alg_sub,
     delta_power, dual_action, dual_average, elem_close, elem_is_zero,
-    expectation, fourier_eval, from_func, unit, zero_element,
+    expectation, fourier_eval, fourier_func, from_func, unit, zero_element,
 )
 from crossedprod.dynsys import apply_sigma, pt
-from crossedprod.errors import SystemMismatchError
+from crossedprod.errors import ModeMismatchError, SystemMismatchError
 from crossedprod.funcspace import (
     f_compose_sigma, f_conj, f_eval, f_is_zero, f_mul, f_sub, finite_func,
     trig_poly, zero_func,
 )
+from crossedprod.parsing import parse_elem
 from crossedprod.sampling import random_element, random_func, random_unimodular
+from crossedprod.scalars import qc
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +253,39 @@ def test_fourier_eval_brings_its_parameter_and_element_into_one_mode(cycle3):
     assert type(got) is complex and got == 1 + 1j
     assert fourier_eval(a, pt(0), qc(0, 1)) == qc(1, 1)
     assert fourier_eval(alg_sub(unit(cycle3), delta_power(cycle3, 3)), pt(0), qc(0, 1)) == 1 + 1j
+
+
+def test_dual_action_brings_its_parameter_and_element_into_one_mode(cycle3):
+    a = parse_elem("f{0:1,1:2} + f{2:1}*d", cycle3, exact=True)
+    got = dual_action(a, 1j)  # an exact element at a float parameter: float
+    assert not got.exact and got == dual_action(parse_elem("f{0:1,1:2} + f{2:1}*d", cycle3), 1j)
+    assert got.coeff(1).data == (0j, 0j, 1j)
+    assert dual_action(a, qc(0, 1)).coeff(1).data == (qc(0), qc(0), qc(0, 1))
+    b = parse_elem("f{0:1,1:2} + f{2:1}*d", cycle3)
+    assert dual_action(b, qc(0, 1)) == got  # a float element at an exact one: float
+
+
+def test_alg_scale_refuses_a_scalar_of_the_other_mode(cycle3):
+    with pytest.raises(ModeMismatchError):
+        alg_scale(2j, unit(cycle3, exact=True))
+    with pytest.raises(ModeMismatchError):
+        alg_scale(qc(2), unit(cycle3))
+    # the zero element has no mode: either scalar scales it
+    assert alg_scale(qc(2), zero_element(cycle3)) == zero_element(cycle3)
+    assert alg_scale(2j, zero_element(cycle3)) == zero_element(cycle3)
+
+
+def test_fourier_func_is_the_transform_at_every_point(cycle3, shift_union_cycle3, rng):
+    for system, points in ((cycle3, [pt(i) for i in range(3)]),
+                           (shift_union_cycle3, [pt(0, 0), pt(5, 0), pt(2, 1)])):
+        for _ in range(10):
+            a = random_element(system, rng, 3)
+            lam = random_unimodular(rng)
+            h = fourier_func(a, lam)
+            assert h.system == system
+            for x in points:
+                assert abs(complex(system.eval(h, x)) - fourier_oracle(a, x, lam)) < 1e-9
+                assert system.eval(h, x) == fourier_eval(a, x, lam)
 
 
 def test_fourier_eval_function_actions(cycle3, rng):

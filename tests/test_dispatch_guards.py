@@ -13,8 +13,10 @@ points of ``dynsys``, only the two that check what a public name is
 handed.  Fresh interpreters check what ``import crossedprod.cli`` loads,
 that a command which finds unit-circle roots loads no numpy, that a
 command on a finite config loads only the layers it runs and no other
-model's module, and that the commands on it load no ``funcspace``.  In the
-checking kit only ``galois.Tally`` counts a check or collects a failure line.
+model's module, and that the commands on it, ``check`` included, load no
+``funcspace``.  In the checking kit only ``galois.Tally`` counts a check or
+collects a failure line, and of the models only the base ``dynsys._Model``
+defines ``is_free`` and ``orbit_points``.
 """
 
 import ast
@@ -305,9 +307,10 @@ OTHER_MODELS = {"crossedprod.shift", "crossedprod.rotation", "crossedprod.union"
 
 
 def test_cold_path_guard_finds_what_it_looks_for():
-    code, _, held = after_command(CYCLE3 + ("check", "--suite", "dual.average"))
+    code, _, held = after_command(CYCLE3 + ("check", "--suite", "dual.average"),
+                                  ("crossedprod.funcspace",))
     assert code == 0 and "crossedprod.checks" in held
-    assert "crossedprod.funcspace" in held  # the suites call the checked functions
+    assert "crossedprod.funcspace" in held  # loaded first, so the guard must see it
 
 
 def test_element_command_loads_no_ideal_layer_and_no_other_model():
@@ -329,6 +332,7 @@ def test_ideal_command_on_a_finite_config_loads_no_other_model():
     ("zeros", "--ideal", "gen(1 - d^3)"),
     ("zi", "--ideal", "gen(1 - d^3)"),
     ("hull", "--ideal", "gen(f{0:0,1:2,2:0})"),
+    ("check", "--suite", "algebra.axioms"),
 ], ids=lambda c: c[0])
 def test_commands_on_a_finite_config_load_no_funcspace(command):
     code, out, held = after_command(CYCLE3 + command)
@@ -337,7 +341,7 @@ def test_commands_on_a_finite_config_load_no_funcspace(command):
 
 
 LAYERS = ("algebra", "transform", "reps_ideals", "hullkernel", "galois", "synthesis",
-          "sampling", "parsing")
+          "sampling", "parsing", "checks")
 BOUNDARY_CHECKS = {"validate_point", "is_invariant_closed"}
 
 
@@ -443,3 +447,35 @@ def test_only_the_tally_counts_checks_and_collects_failures():
     # each law check and suite counts and reports through galois.Tally
     found = {m: tally_sites((SRC / f"{m}.py").read_text()) for m in ("galois", "checks")}
     assert not any(found.values()), f"checks counted outside Tally: {found}"
+
+
+BASE_ANSWERS = {"is_free", "orbit_points"}
+
+
+def methods_off_the_base(source: str, names) -> list[tuple[str, str]]:
+    """(class, method) for each method named in names that a class other
+    than ``_Model`` defines; module-level functions are not methods."""
+    return [(node.name, item.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name != "_Model"
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name in names]
+
+
+def test_model_base_guard_finds_what_it_looks_for():
+    src = ("class _Model:\n    def is_free(self):\n        pass\n"
+           "class FiniteSystem(_Leaf):\n    def is_free(self):\n        return False\n"
+           "    def is_minimal(self):\n        pass\n"
+           "class UnionSystem(_Model):\n    def orbit_points(self, x):\n        pass\n"
+           "def orbit_points(sys, x):\n    pass\n")
+    assert methods_off_the_base(src, BASE_ANSWERS) == [
+        ("FiniteSystem", "is_free"), ("UnionSystem", "orbit_points")]
+
+
+def test_only_the_model_base_answers_freeness_and_orbit_points():
+    # freeness is the absence of a periodic point, and an orbit is sigma
+    # iterated over a period, for every model alike
+    from crossedprod.dynsys import _Model
+    found = {path.name: methods_off_the_base(path.read_text(), BASE_ANSWERS)
+             for path in sorted(SRC.glob("*.py"))}
+    assert not any(found.values()), f"is_free or orbit_points off the model base: {found}"
+    assert BASE_ANSWERS <= set(vars(_Model))

@@ -13,7 +13,7 @@ from crossedprod.dynsys import (
 from crossedprod.errors import ModeMismatchError, SystemMismatchError
 from crossedprod.funcspace import (
     cx_basis, f_add, f_algnorm, f_compose_sigma, f_conj, f_eval,
-    f_mul, f_supnorm_bounds, f_zero_set,
+    f_mul, f_scale, f_sub, f_supnorm_bounds, f_zero_set,
     finite_func, func_close, one_func, point_indicator, separating_func,
     shift_func, trig_poly, union_func, vanishes_on,
 )
@@ -290,3 +290,19 @@ def test_cx_basis_spans_expected(cycle3, shift, golden_rotation):
     assert len(b) == 3  # constant plus two indicators
     r = cx_basis(golden_rotation, max_freq=2)
     assert [sorted(f.data) for f in r] == [[0], [1], [2]]
+
+
+def test_the_checked_functions_refuse_mixed_modes(cycle3):
+    fe = finite_func(cycle3, (sc.qc(1), sc.qc(2), sc.qc(0)))
+    ff = finite_func(cycle3, (1j, 2 + 0j, 0j))
+    for op in (f_add, f_mul, f_sub):
+        with pytest.raises(ModeMismatchError):
+            op(fe, ff)
+        with pytest.raises(ModeMismatchError):
+            op(ff, fe)
+    with pytest.raises(ModeMismatchError):
+        f_scale(sc.qc(2), ff)
+    with pytest.raises(ModeMismatchError):
+        f_scale(2j, fe)
+    assert f_scale(sc.qc(2), fe).data == (sc.qc(2), sc.qc(4), sc.qc(0))
+    assert f_sub(ff, ff).data == (0j, 0j, 0j)

@@ -2,7 +2,8 @@
 
 Every function tag and set word is read on its own model and refused, by
 name, on each other one; integer slots refuse decimals and fractions;
-numbers and names are ASCII; input nested too deeply is a parse error; and
+numbers and names are ASCII; input nested too deeply, and a union nested
+more than ``UnionSystem.MAX_DEPTH`` levels deep, is a parse error; and
 a seeded word-level fuzz through the library and the CLI raises nothing but
 the library's own errors.
 """
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from crossedprod.cli import run_command
+from crossedprod.dynsys import UnionSystem
 from crossedprod.errors import CrossedProdError, ParseError
 from crossedprod.parsing import (
     parse_config, parse_elem, parse_ideal, parse_point, parse_scalar_text, parse_set,
@@ -174,6 +176,38 @@ def test_deeply_nested_unions_never_escape_the_cli(tmp_path):
     path.write_text(nested_unions(2000))
     code, out, err = cli("--config", str(path), "eval", "--elem", "1")
     assert (code, out) == (3, "") and "nested too deeply" in err
+
+
+def test_a_union_one_level_too_deep_is_refused_at_its_component(tmp_path):
+    MAX_DEPTH = UnionSystem.MAX_DEPTH
+    text = nested_unions(MAX_DEPTH + 1)
+    path = tmp_path / "deep.cfg"
+    path.write_text(text)
+    col = 0
+    for _ in range(MAX_DEPTH + 1):  # the component that opens one level too many
+        col = text.index("component", col) + 1
+    code, out, err = cli("--config", str(path), "eval", "--elem", "1")
+    assert (code, out) == (3, "")
+    assert err == (f"parse error: line 1, col {col}: "
+                   f"unions nested too deeply: at most {MAX_DEPTH} levels\n")
+
+
+def test_the_deepest_union_a_config_may_nest_runs_every_command(tmp_path):
+    MAX_DEPTH = UnionSystem.MAX_DEPTH
+    path = tmp_path / "deep.cfg"
+    path.write_text(nested_unions(MAX_DEPTH))
+    func = "u[" * MAX_DEPTH + "f{0:2}" + "]" * MAX_DEPTH
+    point = "c0:" * MAX_DEPTH + "0"
+    code, out, _ = cli("--config", str(path), "eval", "--elem", "1")
+    assert (code, out) == (0, "u[" * MAX_DEPTH + "f{0:1}" + "]" * MAX_DEPTH + "\n")
+    code, out, _ = cli("--config", str(path), "eval", "--elem", f"{func} * d")
+    assert (code, out) == (0, f"{func}*d\n")
+    code, out, _ = cli("--config", str(path), "report")
+    assert code == 0 and out.startswith("free=false minimal=true\n")
+    assert f"witness: periodic point {point}\n" in out
+    code, out, _ = cli("--config", str(path), "zeros", "--ideal", "gen(1 - d)")
+    assert code == 0 and out.startswith(f"t[{point}: ") and "\nnonempty\n" in out
+    assert f"witness: point {point}\n" in out and "witness: parameter 1\n" in out
 
 
 # ---------------------------------------------------------------------------

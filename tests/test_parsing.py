@@ -1,4 +1,7 @@
+import contextlib
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,8 @@ from crossedprod.parsing import (
     render_point, render_set, render_torus,
 )
 from crossedprod.sampling import random_element
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_config_round_trip(cycle3):
@@ -75,6 +80,27 @@ def test_elem_square_expansion(golden_rotation):
     b = parse_elem("tp{1:1} + tp{-1:1}", golden_rotation)
     assert elem_close(a, alg_mul(b, b), 1e-12)
     assert sorted(a.coeff(0).data) == [-2, 0, 2]
+
+
+@pytest.mark.parametrize("base", ["1 + d", "f{0:1,1:2}*d - 1/2"])
+def test_a_power_equals_the_repeated_product_exactly(cycle3, base):
+    a = parse_elem(base, cycle3, exact=True)
+    want = parse_elem("1", cycle3, exact=True)
+    for k in range(10):
+        assert parse_elem(f"({base})^{k}", cycle3, exact=True) == want
+        want = alg_mul(want, a)
+
+
+def test_a_large_power_takes_few_products():
+    import time
+    from crossedprod.cli import run_command
+    argv = ["--config", str(DATA / "cycle3_exact.cfg"), "eval", "--elem", "d^1000000"]
+    buf = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(buf):
+        code = run_command(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, buf.getvalue()) == (0, "f{0:1,1:1,2:1}*d^1000000\n")
 
 
 def test_elem_complex_scalars(cycle3):

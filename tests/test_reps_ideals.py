@@ -371,6 +371,49 @@ def test_quotient_shift_fixed_point(shift):
     assert R.restrict_point(pt(INF)) == pt(0)
 
 
+def test_quotient_of_a_union_drops_its_empty_components(shift_union_cycle3, cycle3, rng):
+    from crossedprod.dynsys import UnionSystem
+    from crossedprod.parsing import parse_point, parse_set
+    U = shift_union_cycle3
+    R = restrict_system(U, parse_set("u[empty; {0,1,2}]", U))
+    assert R.subsystem == UnionSystem((cycle3,))
+    assert R.restrict_point(parse_point("c1:2", U)) == parse_point("c0:2", R.subsystem)
+    with pytest.raises(SystemMismatchError):
+        R.restrict_point(parse_point("c0:2", U))
+    for _ in range(20):
+        a = random_element(U, rng, 2)
+        b = random_element(U, rng, 2)
+        lhs = R.restrict_element(alg_mul(a, b))
+        assert elem_close(lhs, alg_mul(R.restrict_element(a), R.restrict_element(b)), 1e-9)
+    whole = restrict_system(U, parse_set("u[all; {0,1,2}]", U))
+    assert whole.subsystem == U
+    assert whole.restrict_point(parse_point("c0:5", U)) == parse_point("c0:5", U)
+    a = random_element(U, rng, 2)
+    assert whole.restrict_element(a) == a
+
+
+def test_separating_check_on_a_union(shift_union_cycle3):
+    from crossedprod.parsing import parse_elem
+    U = shift_union_cycle3
+    w = separating_check(U, parse_elem("u[sh{inf:0,4:3}; 0]*d + u[0; f{1:2}]*d^3", U))
+    assert (w.point, w.coeff_index, w.value, w.rep_kind) == (pt(4, 0), 1, 3 + 0j, "aperiodic")
+    a = parse_elem("u[0; f{1:2}]*d^3", U)
+    w = separating_check(U, a)
+    assert (w.point, w.coeff_index, w.value, w.rep_kind) == (pt(1, 1), 3, 2 + 0j, "periodic")
+    assert not rep_is_zero(rep_periodic(U, w.point, w.lam, a), 1e-9)
+
+
+def test_separating_check_on_the_rotation_searches_a_grid(golden_rotation):
+    from crossedprod.parsing import parse_elem
+    assert separating_check(golden_rotation, zero_element(golden_rotation)) is None
+    # 1 - z vanishes at turn 0 and peaks at turn 1/2, a point of the 24-point grid
+    w = separating_check(golden_rotation, parse_elem("tp{0:1,1:-1}*d^2", golden_rotation))
+    assert (w.point, w.coeff_index, w.rep_kind) == (pt(Fraction(1, 2)), 2, "aperiodic")
+    assert abs(w.value - 2) < 1e-12
+    w = separating_check(golden_rotation, parse_elem("tp{0:1,1:1}", golden_rotation))
+    assert (w.point, w.coeff_index, w.rep_kind) == (pt(Fraction(0)), 0, "aperiodic")
+
+
 def test_quotient_unrepresentable(golden_rotation, shift):
     from crossedprod.dynsys import CircleSet
     with pytest.raises(UnsupportedQueryError):
