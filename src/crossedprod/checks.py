@@ -14,7 +14,6 @@ from .algebra import (
     alg_add, alg_adj, alg_mul, alg_norm, delta_power, dual_action,
     dual_average, elem_close, expectation, from_func, unit,
 )
-from .dynsys import f_is_zero
 from .errors import UnsupportedQueryError
 from .galois import (
     CheckReport, Tally, check_assumption, check_fixed_point_laws, check_min_max,
@@ -53,9 +52,8 @@ def suite_algebra_axioms(system, exact: bool, seed: int, tol: float,
 
 
 def _close(f, g, tol: float) -> bool:
-    """Whether f - g vanishes within tol, as funcspace.func_close decides."""
-    neg = sc.qc(-1) if g.exact else -1 + 0j
-    return f_is_zero(f.system.add(f, f.system.scale(neg, g)), tol)
+    """Whether f - g vanishes within tol."""
+    return elem_close(from_func(f), from_func(g), tol)
 
 
 def suite_expectation(system, exact: bool, seed: int, tol: float,

@@ -26,6 +26,7 @@ import cmath
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from importlib import import_module
 
 from . import scalars as sc
@@ -173,6 +174,10 @@ class _Model:
 
     def exceptional_ints(self, f: Func) -> set:
         return set()
+
+    def common_zeros(self, funcs, tol: float):
+        """The closed set where every function of funcs vanishes within tol."""
+        return reduce(self.intersect, (self.zero_set(f, tol) for f in funcs), self.whole_space())
 
 
 class _Leaf(_Model):

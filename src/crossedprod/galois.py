@@ -170,11 +170,7 @@ def classical_pair(system) -> GaloisPair:
     except UnsupportedQueryError:
         raise UnsupportedQueryError("the classical pair is shipped for finite systems") from None
 
-    def common_zeros(funcs):
-        acc = system.whole_space()
-        for f in funcs:
-            acc = system.intersect(acc, system.zero_set(f, DEFAULT_TOL))
-        return acc
+    common_zeros = lambda funcs: system.common_zeros(funcs, DEFAULT_TOL)
 
     def kernel_generators(S):
         gens = []

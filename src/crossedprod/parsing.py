@@ -48,7 +48,7 @@ Every value these parsers build prints its own literal as its ``repr``, so
 ``parse_*(repr(v))`` gives ``v`` back; the ``render_*`` names here are
 ``repr``, and ``fmt_real`` and ``render_scalar`` come from :mod:`.scalars`.
 A decimal beyond the float range, a tolerance that is negative or not
-finite, and input nested too deeply to read are parse errors.
+finite, input nested too deeply to read and too large a power are parse errors.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ _TOKEN = re.compile(r"(?P<nl>\n)|[ \t\r]+|#[^\n]*"
                     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[][{}()^*+:,;/-])|(?P<bad>.)",
                     re.S)
 _FUNC_TAGS = ("f", "sh", "tp", "u")
+MAX_VALUES = 10 ** 5  # scalars the running result of a power may hold
 _SET_WORDS = ("circle", "co", "u")
 
 
@@ -285,6 +286,8 @@ class _Stream:
                 out = alg_mul(out, out)
                 if bit == "1":
                     out = alg_mul(out, a)
+                if sum(len([*system.scalars(f.data)]) for f in out.coeffs.values()) > MAX_VALUES:
+                    self.fail(f"power too large: more than {MAX_VALUES} values", at=t)
             return out
         return a
 

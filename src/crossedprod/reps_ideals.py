@@ -244,6 +244,7 @@ class PxLambdaIdeal(IdealHandle):
     def random_member(self, rng, radius: int, exact: bool) -> Element:
         """b g c for the escape element g, plus a member of Qx half the time."""
         from .sampling import random_element, random_func
+        exact = exact and sc.is_exact(self.lam)  # g's mode, as unify_lam gives it
         f = random_func(self.system, rng, exact)
         g = escape_element(f, self.lam, self.system.period(self.x))
         b = random_element(self.system, rng, 1, exact)
@@ -377,14 +378,10 @@ class GeneratedIdeal(IdealHandle):
         return "gen(" + ", ".join(map(repr, self.gens)) + ")"
 
     def hull(self, tol: float) -> HullResult:
-        acc = self.system.whole_space()
-        count = 0
-        for g in self.gens:
-            for f in g.coeffs.values():
-                acc = self.system.intersect(acc, self.system.zero_set(f, tol))
-                count += 1
+        funcs = [f for g in self.gens for f in g.coeffs.values()]
+        acc = self.system.common_zeros(funcs, tol)
         return HullResult(self.system.largest_invariant_subset(acc),
-                          (f"intersected {count} coefficient zero sets",
+                          (f"intersected {len(funcs)} coefficient zero sets",
                            "largest invariant subset taken"))
 
     def zeros(self, tol: float) -> TorusSubset:

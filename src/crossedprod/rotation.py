@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import reduce
 
 from . import scalars as sc
 from .dynsys import Func, Point, _func, _Leaf, rotation_phase
@@ -34,6 +35,8 @@ class Surd:
 
     def value(self) -> float:
         return (self.p + self.q * math.sqrt(self.r)) / self.d
+
+    __float__ = value
 
     def times_mod1(self, m: int) -> float:
         """Fractional part of m * value(), via high-precision integers.
@@ -92,11 +95,6 @@ def _trig(system, coeffs: dict) -> Func:
     return _func(system, {k: c for k, c in coeffs.items() if c}, False)
 
 
-def grid_size(f: Func) -> int:
-    maxfreq = max((abs(k) for k in f.data), default=0)
-    return 8 * maxfreq + 16
-
-
 @record
 class RotationSystem(_Leaf):
     """Rotation of the circle by ``theta`` turns.
@@ -115,22 +113,17 @@ class RotationSystem(_Leaf):
         th = self.theta
         if not self.irrational and not isinstance(th, Fraction):
             object.__setattr__(self, "theta", Fraction(th))
-        v = self.theta_value()
-        if not 0 < v < 1:
+        if not 0 < self.theta_value() < 1:
             raise ValueError("theta must lie strictly between 0 and 1 turns")
 
     def theta_value(self) -> float:
-        if isinstance(self.theta, Surd):
-            return self.theta.value()
         return float(self.theta)
 
     def theta_times_mod1(self, m: int):
         """m * theta mod 1; Fraction for rational angles, float otherwise."""
         if isinstance(self.theta, Surd):
             return self.theta.times_mod1(m)
-        if isinstance(self.theta, Fraction):
-            return (self.theta * m) % 1
-        return (self.theta * m) % 1.0
+        return (self.theta * m) % 1
 
     # points and dynamics
 
@@ -319,13 +312,13 @@ class RotationSystem(_Leaf):
             0j,
         )
 
+    def _grid(self, f: Func) -> list[tuple[Point, float]]:
+        """(point, |f|) at 8 * maxfreq + 16 equally spaced turns, from 0."""
+        G = 8 * max((abs(k) for k in f.data), default=0) + 16
+        return [(x, abs(self.eval(f, x))) for x in (Point(Fraction(j, G)) for j in range(G))]
+
     def supnorm_bounds(self, f: Func) -> tuple[float, float]:
-        upper = self.algnorm(f)
-        G = grid_size(f)
-        lower = max(
-            abs(self.eval(f, Point(Fraction(j, G)))) for j in range(G)
-        ) if f.data else 0.0
-        return (lower, upper)
+        return (max(v for _, v in self._grid(f)), self.algnorm(f))
 
     def algnorm(self, f: Func) -> float:
         """The coefficient-sum (Wiener) norm."""
@@ -349,15 +342,8 @@ class RotationSystem(_Leaf):
     def separating_func(self, S, x: Point, exact: bool) -> Func:
         if S.whole:
             raise UnsupportedQueryError("no nonzero function vanishes on the whole circle")
-        coeffs = {0: 1 + 0j}
-        for t in S.turns:
-            root = cmath.exp(2j * math.pi * float(t))
-            new: dict = {}
-            for k, c in coeffs.items():
-                new[k + 1] = new.get(k + 1, 0j) + c
-                new[k] = new.get(k, 0j) - c * root
-            coeffs = new
-        return _trig(self, coeffs)
+        factors = (Func(self, {1: 1, 0: -cmath.exp(2j * math.pi * float(t))}) for t in S.turns)
+        return reduce(self.mul, factors, self.const(1 + 0j))
 
     def character(self, m: int) -> Func:
         return _trig(self, {m: 1 + 0j})
@@ -384,14 +370,8 @@ class RotationSystem(_Leaf):
     def point_where_nonzero(self, f: Func, tol: float):
         if not f.data:
             return None
-        G = grid_size(f)
-        best, best_val = None, tol
-        for j in range(G):
-            x = Point(Fraction(j, G))
-            v = abs(self.eval(f, x))
-            if v > best_val:
-                best, best_val = x, v
-        return best
+        above = [(x, v) for x, v in self._grid(f) if v > tol]
+        return max(above, key=lambda xv: xv[1], default=(None,))[0]  # the first largest
 
     # random functions, for the property suites (float whatever the mode)
 
@@ -403,9 +383,4 @@ class RotationSystem(_Leaf):
     def random_vanishing_on(self, S, rng, draw, zero) -> Func:
         if S.whole:
             return self.const(0j)
-        if not S.turns:
-            return self.random_func(rng, draw)
-        t = (float(S.turns[0]) + 0.25) % 1.0
-        while self.contains(S, Point(t)):
-            t = (t + 0.13) % 1.0
-        return self.mul(self.separating_func(S, Point(t), False), self.random_func(rng, draw))
+        return self.mul(self.separating_func(S, None, False), self.random_func(rng, draw))

@@ -197,7 +197,7 @@ def check_unimodular(lam) -> None:
 
 
 def unit_pow(lam, n: int):
-    """lam**n for unimodular lam; negative powers via conjugation.
+    """lam**n for unimodular lam by square and multiply; n < 0 via conjugation.
 
     Conjugation keeps exact-mode values exact and avoids the loss of
     modulus that repeated float division would cause.
@@ -206,8 +206,10 @@ def unit_pow(lam, n: int):
         return QONE if isinstance(lam, QComplex) else 1 + 0j
     base = lam if n > 0 else conj(lam)
     out = base
-    for _ in range(abs(n) - 1):
-        out = out * base
+    for bit in bin(abs(n))[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * base
     return out
 
 
@@ -404,3 +406,25 @@ def _euclid(a, b, tol):
     while b:
         a, b = b, _poly_divmod(a, b, tol)[1]
     return a
+
+
+def exact_poly_gcd(polys):
+    """poly_gcd over Q(i): an exact Euclid, remainders made monic to stay small."""
+    g: list = []
+    for p in polys:
+        p = _monic(p)
+        while g and p:
+            for k in range(len(g) - len(p), -1, -1):  # g mod the monic p
+                q = g.pop()
+                g[k:k + len(p) - 1] = [c - q * b for c, b in zip(g[k:], p)]
+            g, p = p, _monic(g)
+        g = g or p
+        if len(g) == 1:
+            return g
+    return g or None
+
+
+def _monic(p) -> list:
+    while p and is_zero(p[-1]):
+        p = p[:-1]
+    return [c / p[-1] for c in p]

@@ -14,11 +14,10 @@ from .algebra import (
     Element, alg_add, alg_mul, alg_norm, alg_scale, alg_sub, expectation,
     from_func, zero_element,
 )
-from .dynsys import Func
 from .errors import UnsupportedQueryError
 from .records import record
 from .reps_ideals import (
-    canonical_px_lambda, escape_element, ideal_member,
+    canonical_px_lambda, ideal_behaviour, ideal_member,
 )
 
 
@@ -99,21 +98,20 @@ def dichotomy_report(system, epsilon: float = 0.1, max_rounds: int = 14) -> Dich
     """
     if not system.is_free():
         x = system.some_periodic_point()
-        p = system.period(x)
-        lam = 1 + 0j
-        f = system.const(1 + 0j)
-        a = escape_element(f, lam, p)
-        I = canonical_px_lambda(system, x, lam)
+        I = canonical_px_lambda(system, x, 1 + 0j)
+        bad = ideal_behaviour(I)  # a badly behaved kernel answers with its escape witness
+        f, a = bad.escape_function, bad.escape_element
         assert ideal_member(I, a)
         assert not ideal_member(I, from_func(f))
         return DichotomyReport(
-            False, witness_point=x, witness_lam=lam,
+            False, witness_point=x, witness_lam=I.lam,
             escape_function=f, escape_elem=a,
             note="a torus-parameter kernel admits an escaping zero coefficient",
         )
     try:  # only the rotation model has characters; another free system is a union of them
-        sample = Element(system, {0: system.character(0), 1: Func(system, {0: 0.5, 1: 0.5}),
-                                  -1: system.character(-1)})
+        z = system.character
+        sample = Element(system, {0: z(0), 1: system.scale(0.5, system.add(z(0), z(1))),
+                                  -1: z(-1)})
     except UnsupportedQueryError:
         return DichotomyReport(True, note="free; averaging evidence is per rotation component")
     rep = drive_to_E(sample, epsilon, max_rounds)

@@ -19,7 +19,7 @@ from .algebra import Element, alg_mul, fourier_func, from_func
 from .dynsys import Point, validate_point
 from .errors import SystemMismatchError
 from .records import record
-from .scalars import DEFAULT_TOL, ROOT_MATCH_TOL, poly_gcd, unit_circle_roots
+from .scalars import DEFAULT_TOL, ROOT_MATCH_TOL, exact_poly_gcd, poly_gcd, unit_circle_roots
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +191,20 @@ def _periodic_lambda_set(I, x: Point, tol):
 
     Each condition is a residue sum as the mu-polynomial sum_l mu^{p l}
     g_{l p + j}(y) with powers cleared; an orbit with coprime conditions is
-    omitted (None), and all-zero conditions give the full circle.
+    omitted (None), and all-zero conditions give the full circle.  Exact
+    generators take an exact gcd over Q(i), float ones poly_gcd's.
     """
     p = I.system.period(x)
-    conds: list[list[complex]] = []
+    exact = all(g.exact for g in I.gens if g.coeffs)
+    conds: list[list] = []
     for g in I.gens:
         for sums in residue_sums(g, x):
             lmin = min(sums)
-            poly = [0j] * ((max(sums) - lmin) * p + 1)
+            poly = [sc.zero_like(exact)] * ((max(sums) - lmin) * p + 1)
             for l, v in sums.items():
-                poly[(l - lmin) * p] += complex(v)
+                poly[(l - lmin) * p] += v if exact else complex(v)
             conds.append(poly)
-    g = poly_gcd(conds, tol)
+    g = exact_poly_gcd(conds) if exact else poly_gcd(conds, tol)
     if g is None:
         return FullCircle()
     if len(g) == 1:
@@ -272,7 +274,7 @@ def ideal_member_via_S(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> 
     products a.f against the raw vanishing condition, with f running over a
     point-indicator style basis of the function model."""
     window = _shift_window(T, a)
-    basis = a.system.cx_basis(window, max(1, len(a.coeffs)), False)
+    basis = a.system.cx_basis(window, max(1, len(a.coeffs)), a.exact)
     return all(tilde_member(T, alg_mul(a, from_func(f)), tol) for f in basis)
 
 

@@ -256,3 +256,17 @@ def test_an_exact_config_reads_back_the_torus_parameters_zi_prints():
     system = parse_config((DATA / "cycle3_exact.cfg").read_text()).system
     assert repr(parse_ideal("Pxl(0, 3/5+4/5i)", system, True)) == "Pxl(0, 3/5+4/5i)"
     assert repr(parse_ideal("Pxl(0, 3/5+0.8i)", system, True)) == "Pxl(0, 0.6+0.8i)"
+
+
+def test_report_on_the_golden_rotation_prints_the_averaging_evidence():
+    """The free branch of the dichotomy: the averaging run on the sample
+    z^0 + ((z^0 + z^1) / 2) d + z^-1 d^-1, pinned byte for byte."""
+    code, out = invoke(["--config", str(DATA / "rotation_golden.cfg"), "report"])
+    assert code == 0
+    assert out == (
+        "free=true minimal=true\n"
+        "well_behaved_closed_ideals=2\n"
+        "dichotomy: free\n"
+        "  witness: averaging drives the sample toward its zero coefficient;"
+        " averaging residual 0.00452390143022\n"
+    )

@@ -8,7 +8,7 @@ import pytest
 from crossedprod import scalars as sc
 from crossedprod.algebra import alg_mul, alg_sub, element, unit
 from crossedprod.dynsys import (
-    FiniteSet, ShiftSet, pt, INF, turns_eq,
+    CircleSet, FiniteSet, ShiftSet, pt, INF, turns_eq,
 )
 from crossedprod.errors import ModeMismatchError, SystemMismatchError
 from crossedprod.funcspace import (
@@ -21,7 +21,7 @@ from crossedprod.hullkernel import (
     decompose_as_intersection, hull_kernel_compose, kernel_member, kernel_project,
 )
 from crossedprod.reps_ideals import kernel_ideal, restrict_system
-from crossedprod.sampling import random_func
+from crossedprod.sampling import random_func, random_func_vanishing_on
 
 
 def test_finite_pointwise_mul(cycle3):
@@ -306,3 +306,17 @@ def test_the_checked_functions_refuse_mixed_modes(cycle3):
         f_scale(2j, fe)
     assert f_scale(sc.qc(2), fe).data == (sc.qc(2), sc.qc(4), sc.qc(0))
     assert f_sub(ff, ff).data == (0j, 0j, 0j)
+
+
+@pytest.mark.parametrize("turns", [(0.0,), (Fraction(1, 4), 0.6), (0.1, 0.35, Fraction(2, 3))])
+def test_a_random_rotation_function_vanishing_on_finitely_many_turns(
+        golden_rotation, rational_rotation, rng, turns):
+    """The draw is the separating product over the turns times a random
+    function: zero at each turn, and not the zero function."""
+    for R in (golden_rotation, rational_rotation):
+        S = CircleSet(False, turns)
+        for _ in range(5):
+            f = random_func_vanishing_on(R, S, rng)
+            assert R.vanishes_on(f, S, 1e-9)
+            assert all(abs(f_eval(f, pt(t))) <= 1e-9 for t in turns)
+            assert R.point_where_nonzero(f, 1e-9) is not None

@@ -12,7 +12,9 @@ from crossedprod.galois import (
 )
 from crossedprod.reps_ideals import canonical_px_lambda, kernel_ideal
 from crossedprod.sampling import canonical_handles, random_func
-from crossedprod.transform import zeros_of_ideal
+from crossedprod.transform import (
+    FiniteRoots, FullCircle, TorusEntry, TorusSubset, zeros_of_ideal,
+)
 
 
 def classical_samples(system, rng, count=10):
@@ -160,3 +162,17 @@ def test_torus_leq(cycle3):
     Z_circle = zeros_of_ideal(canonical_qx(cycle3, pt(0)))
     assert torus_leq(cycle3, Z_full, Z_circle)
     assert not torus_leq(cycle3, Z_circle, Z_full)
+
+
+def test_torus_leq_needs_one_covering_entry_where_orbits_cannot_be_listed(golden_rotation):
+    """An irrational rotation's orbit closure is the circle, whose orbits
+    cannot be enumerated: an entry is covered only by one entry over the
+    whole part with a larger lambda set."""
+    R = golden_rotation
+    full = TorusSubset(R, (TorusEntry(pt(0.0), FullCircle(), use_closure=True),))
+    roots = TorusSubset(R, (TorusEntry(pt(0.25), FiniteRoots((1j, -1 + 0j))),))
+    assert torus_leq(R, full, full)
+    assert torus_leq(R, roots, full)
+    assert not torus_leq(R, full, roots)
+    assert not torus_leq(R, roots, TorusSubset(R, ()))
+    assert torus_leq(R, TorusSubset(R, ()), roots)

@@ -13,7 +13,7 @@ from crossedprod.dynsys import (
 from crossedprod.errors import ParseError, SystemMismatchError
 from crossedprod.funcspace import f_compose_sigma
 from crossedprod.parsing import (
-    parse_config, parse_elem, parse_ideal, parse_point, parse_scalar_text,
+    MAX_VALUES, parse_config, parse_elem, parse_ideal, parse_point, parse_scalar_text,
     parse_set, parse_torus, render_config, render_element, render_ideal,
     render_point, render_set, render_torus,
 )
@@ -208,3 +208,22 @@ def test_parser_fuzz_never_crashes(cycle3, rng):
             parse_elem(text, cycle3)
         except ParseError:
             pass
+
+
+def test_a_power_too_large_to_hold_is_refused_at_its_exponent():
+    import time
+    from crossedprod.cli import run_command
+    argv = ["--config", str(DATA / "shift.cfg"), "eval", "--elem",
+            "(sh{inf:1,2:3}*d)^1000000000"]
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_command(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert "col 19: power too large" in err.getvalue()
+    # a^n holds n + 1 values: the value at infinity and n exceptions
+    a = "(sh{inf:1,2:3}*d)"
+    assert len(parse_elem(f"{a}^{MAX_VALUES - 1}", ShiftSystem()).coeffs) == 1
+    with pytest.raises(ParseError):
+        parse_elem(f"{a}^{MAX_VALUES}", ShiftSystem())

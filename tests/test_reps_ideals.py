@@ -487,3 +487,15 @@ def test_an_element_on_another_system_is_refused(cycle3, shift, shift_union_cycl
     for call in calls:
         with pytest.raises(SystemMismatchError):
             call()
+
+
+def test_an_exact_draw_from_a_float_torus_parameter_is_a_float_member(cycle3, rng):
+    """A float lam makes the escape element float, so every factor of the
+    draw is float and the draw is a member."""
+    J = canonical_px_lambda(cycle3, pt(0), 1j)
+    for _ in range(10):
+        a = J.random_member(rng, 2, exact=True)
+        assert not a.exact
+        assert ideal_member(J, a)
+    K = canonical_px_lambda(cycle3, pt(0), sc.qc(0, 1))
+    assert K.random_member(rng, 2, exact=True).exact

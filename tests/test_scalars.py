@@ -184,3 +184,41 @@ def test_render_scalar_table(text, rendered, plain):
     assert str(z) == plain
     assert parse_scalar_text(rendered, True) == z
     assert repr(z) == f"QComplex(re={z.re!r}, im={z.im!r})"
+
+
+@pytest.mark.parametrize("lam", [sc.qc(1), sc.qc(0, 1), sc.qc(Fraction(3, 5), Fraction(-4, 5)),
+                                 sc.qc(Fraction(-5, 13), Fraction(12, 13))])
+def test_unit_pow_is_the_repeated_product_exactly(lam):
+    want = sc.QONE
+    for n in range(40):
+        assert sc.unit_pow(lam, n) == want
+        assert sc.unit_pow(lam, -n) == want.conjugate()
+        want = want * lam
+
+
+def test_unit_pow_keeps_small_float_powers_bit_for_bit():
+    lam = complex(math.cos(0.7), math.sin(0.7))
+    for n in (1, 2, 3):
+        want = lam
+        for _ in range(n - 1):
+            want = want * lam
+        assert sc.unit_pow(lam, n) == want
+        assert sc.unit_pow(lam, -n) == want.conjugate()
+    for n in (4, 5, 17, 1000):
+        assert abs(sc.unit_pow(lam, n) - complex(math.cos(0.7 * n), math.sin(0.7 * n))) < 1e-12
+
+
+def test_a_large_torus_power_takes_few_products():
+    import contextlib
+    import io
+    import time
+    from pathlib import Path
+    from crossedprod.cli import run_command
+    cfg = Path(__file__).parent / "data" / "cycle3_exact.cfg"
+    buf = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(buf):
+        code = run_command(["--config", str(cfg), "transform", "--elem", "d^2000000",
+                            "--point", "0", "--lam", "i"])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, buf.getvalue()) == (0, "1\n")

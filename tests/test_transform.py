@@ -1,17 +1,22 @@
 import cmath
+import contextlib
+import io
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from crossedprod.algebra import (
     alg_mul, alg_sub, delta_power, from_func, unit,
 )
+from crossedprod.cli import run_command
 from crossedprod.dynsys import (
     INF, orbit_points, pt,
 )
 from crossedprod.errors import UnsupportedQueryError
 from crossedprod.funcspace import cx_basis, f_eval, finite_func, one_func
-from crossedprod.parsing import parse_ideal
+from crossedprod.parsing import parse_elem, parse_ideal, parse_scalar_text
 from crossedprod.reps_ideals import (
     canonical_px, canonical_px_lambda, canonical_qx, escape_element,
     generated_ideal, ideal_member,
@@ -22,10 +27,13 @@ from crossedprod.scalars import unit_circle_roots
 from crossedprod.transform import (
     FiniteRoots, FullCircle, TorusEntry, TorusSubset,
     adjoint_zeros_equal, ideal_leq, ideal_member_via_S, ideal_of_torus_set,
-    lamset_roots, poly_gcd, tilde_member, torus_contains,
+    lamset_roots, poly_gcd, pth_roots, tilde_member, torus_contains,
     torus_is_empty, zeros_nonempty_report, zeros_of_ideal,
     zi_closure,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def fourier_brute(a, x, mu):
@@ -345,3 +353,94 @@ def test_torus_contains_refuses_a_point_of_another_system(cycle3, shift_union_cy
         for y in bad:
             with pytest.raises(SystemMismatchError):
                 torus_contains(Z, y, 1)
+
+
+def test_ideal_member_via_S_takes_an_exact_element(cycle3, rng):
+    """The test family is built in the element's mode, so an exact element
+    is answered, in agreement with the synthesized ideal."""
+    a = parse_elem("1 - d^3", cycle3, exact=True)
+    T = zeros_of_ideal(generated_ideal(cycle3, [a]))
+    assert ideal_member_via_S(T, a)
+    I = ideal_of_torus_set(T)
+    for _ in range(12):
+        b = random_element(cycle3, rng, 2, exact=True)
+        if rng.random() < 0.5:
+            b = alg_mul(a, b)
+        assert ideal_member_via_S(T, b) == ideal_member(I, b), b
+
+
+def test_ideal_member_via_S_on_a_union(shift_union_cycle3, rng):
+    """The window reads the shift part's exceptional integers through the
+    union; the answers agree with the synthesized ideal."""
+    U = shift_union_cycle3
+    I = parse_ideal("meet(Px(c0:0), Pxl(c1:0, 1))", U)
+    T = zeros_of_ideal(I)
+    S = ideal_of_torus_set(T)
+    answers = []
+    for _ in range(16):
+        a = random_member(I, rng, 1) if rng.random() < 0.5 else random_element(U, rng, 1)
+        answers.append(ideal_member_via_S(T, a))
+        assert answers[-1] == ideal_member(S, a), a
+    assert True in answers and False in answers
+
+
+def test_tilde_member_on_a_full_circle_entry(shift, rng):
+    """A full-circle entry asks every coefficient to vanish on the closure."""
+    I = canonical_px(shift, pt(0))
+    T = zeros_of_ideal(I)
+    assert repr(T) == "t[0*: full]"
+    for _ in range(8):
+        assert tilde_member(T, random_member(I, rng, 2))
+    assert not tilde_member(T, unit(shift))
+    assert not tilde_member(T, parse_elem("sh{inf:0,3:1}*d", shift))
+
+
+CONJ = {"1": "1", "-1": "-1", "i": "-i", "3/5+4/5i": "3/5-4/5i"}  # exact lam: conj(lam)
+
+
+def _lambda_set_family(seed: int, count: int):
+    """Two generators (1 - conj(lam) d^3) c_i(d^3) with a planted exact lam,
+    each c_i with 4 to 9, 13 or 17 coefficients a/b, a in [-9, 9], b in [1, 5]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lam = rng.choice(list(CONJ))
+        gens = []
+        for _ in range(2):
+            n = rng.choice((4, 5, 6, 7, 8, 9, 13, 17))
+            terms = [f"({rng.randint(-9, 9)}/{rng.randint(1, 5)})*d^{3 * k}" for k in range(n)]
+            gens.append(f"(1 - ({CONJ[lam]})*d^3)*({' + '.join(terms)})")
+        yield gens
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_exact_lambda_sets_keep_every_common_root(cycle3, seed):
+    """Exact generators take an exact gcd: when every generator lies in
+    Pxl(0, lam), each cube root of lam is in the zero set at 0.  The
+    oracle is membership, which goes through no gcd."""
+    for texts in _lambda_set_family(seed, 40):
+        gens = [parse_elem(t, cycle3, exact=True) for t in texts]
+        Z = zeros_of_ideal(generated_ideal(cycle3, gens))
+        for text in CONJ:
+            J = canonical_px_lambda(cycle3, pt(0), parse_scalar_text(text, True))
+            if all(ideal_member(J, g) for g in gens):
+                for mu in pth_roots(J.lam, 3):
+                    assert torus_contains(Z, pt(0), mu), (texts, text, Z)
+
+
+def test_a_long_common_factor_keeps_the_cube_roots_in_exact_mode():
+    A = ("(1 - d^3)*(-1 + (1/2)*d^3 + (-4/5)*d^6 + (1/2)*d^9 + (-2/5)*d^15"
+         " + (-5/2)*d^18 + (-2/5)*d^21 + (-5/2)*d^24)")
+    B = "(1 - d^3)*(-5 + (3/5)*d^3 + 3*d^6 + 8*d^9 + d^12)"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run_command(["--config", str(DATA / "cycle3_exact.cfg"), "zeros",
+                            "--ideal", f"gen({A}, {B})"])
+    assert code == 0
+    assert buf.getvalue().splitlines()[:2] == ["t[0: poly{-1,0,0,1}]", "nonempty"]
+
+
+def test_exact_lambda_sets_print_exact_coefficients(cycle3):
+    a = parse_elem("1 - 2*d^3", cycle3, exact=True)
+    Z = zeros_of_ideal(generated_ideal(cycle3, [a, alg_mul(a, a)]))
+    assert repr(Z) == "t[0: poly{-1/2,0,0,1}]"
+    assert lamset_roots(Z.entries[0].lamset) == []  # the roots have modulus 2^(-1/3)
