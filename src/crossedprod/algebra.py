@@ -8,6 +8,7 @@ elements, so no truncation is ever performed.
 
 from __future__ import annotations
 
+import cmath
 from functools import reduce
 
 from . import scalars as sc
@@ -186,7 +187,20 @@ def fourier_eval(a: Element, x: Point, lam):
     """The transform value sum_n lam**n a_n(x)."""
     validate_point(a.system, x)
     sc.check_unimodular(lam)
-    return a.system.eval(fourier_func(a, lam), x)
+    return _transform_value(*unify_lam(a, lam), x)
+
+
+def _transform_value(a: Element, lam, y: Point):
+    """sum_n lam**n a_n(y) from the coefficient values at y, with no Func
+    built; a and lam already share a mode.  Summed in coefficient order, as
+    fourier_func sums, so on the finite, shift and union models the value
+    is that of fourier_func at y, bit for bit."""
+    value = a.system.eval
+    total = None
+    for n, f in a.coeffs.items():
+        term = sc.unit_pow(lam, n) * value(f, y)
+        total = term if total is None else total + term
+    return sc.zero_like(a.exact) if total is None else total
 
 
 def demote_to_float(a: Element) -> Element:
@@ -201,6 +215,14 @@ def unify_lam(a: Element, lam):
     if not a.exact and sc.is_exact(lam):
         return a, complex(lam)
     return a, lam
+
+
+def check_finite(a: Element) -> Element:
+    """a itself, or OverflowError if a float value of it is inf or nan."""
+    if not a.exact and not all(cmath.isfinite(v) for f in a.coeffs.values()
+                               for v in a.system.scalars(f.data)):
+        raise OverflowError("float overflow: the element has a value that is not finite")
+    return a
 
 
 def elem_is_zero(a: Element, tol: float = 0.0) -> bool:

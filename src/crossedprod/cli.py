@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 
-from .algebra import alg_adj, alg_mul, alg_norm, expectation, fourier_eval
+from .algebra import alg_adj, alg_mul, alg_norm, check_finite, expectation, fourier_eval
 from .dynsys import is_free, is_minimal, is_periodic
 from .errors import CrossedProdError, ParseError, UnsupportedQueryError
 from .parsing import (
@@ -88,7 +88,8 @@ def _set_count(rep) -> str:
 
 def _add_report(out: _Output, r) -> int:
     """A check report's line, its failure lines as witnesses; its exit code."""
-    out.add(f"{r.name}: {'ok' if r.ok else 'FAIL'} ({r.checked} checks)", r.failures)
+    verdict = "FAIL" if not r.ok else "vacuous" if r.checked == 0 else "ok"
+    out.add(f"{r.name}: {verdict} ({r.checked} checks)", r.failures)
     return 0 if r.ok else 1
 
 
@@ -199,7 +200,7 @@ def _dispatch(args, cfg: SystemConfig) -> int:
     elif args.command == "mul":
         a = parse_elem(args.a, system, exact)
         b = parse_elem(args.b, system, exact)
-        out.add(repr(alg_mul(a, b)))
+        out.add(repr(check_finite(alg_mul(a, b))))
     elif args.command == "adj":
         out.add(repr(alg_adj(parse_elem(args.elem, system, exact))))
     elif args.command == "norm":

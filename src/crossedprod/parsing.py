@@ -48,7 +48,9 @@ Every value these parsers build prints its own literal as its ``repr``, so
 ``parse_*(repr(v))`` gives ``v`` back; the ``render_*`` names here are
 ``repr``, and ``fmt_real`` and ``render_scalar`` come from :mod:`.scalars`.
 A decimal beyond the float range, a tolerance that is negative or not
-finite, input nested too deeply to read and too large a power are parse errors.
+finite, input nested too deeply to read and a power too large to hold or too
+costly to form are parse errors; an expression whose float value overflows
+raises OverflowError.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from fractions import Fraction
 from . import dynsys
 from . import scalars as sc
 from .algebra import Element, alg_add, alg_mul, alg_adj, alg_scale, alg_sub, \
-    delta_power, expectation, from_func, unit
+    check_finite, delta_power, expectation, from_func, unit
 from .dynsys import INF, Point, validate_point
 from .errors import ModeMismatchError, ParseError, SystemMismatchError
 from .records import record
@@ -76,6 +78,7 @@ _TOKEN = re.compile(r"(?P<nl>\n)|[ \t\r]+|#[^\n]*"
                     re.S)
 _FUNC_TAGS = ("f", "sh", "tp", "u")
 MAX_VALUES = 10 ** 5  # scalars the running result of a power may hold
+MAX_PAIRS = 5 * 10 ** 4  # coefficient pairs the products of a power may form in all
 _SET_WORDS = ("circle", "co", "u")
 
 
@@ -281,11 +284,14 @@ class _Stream:
                 if inv is None:
                     self.fail("negative power of a non-invertible element", at=t)
                 a = inv
-            out = unit(system, exact)
+            out, pairs = unit(system, exact), 0
             for bit in bin(n)[2:]:  # square and multiply: the algebra is associative
-                out = alg_mul(out, out)
-                if bit == "1":
-                    out = alg_mul(out, a)
+                for b in (out, a) if bit == "1" else (out,):
+                    pairs += len(out.coeffs) * len(b.coeffs)  # the products' work, before it
+                    if pairs > MAX_PAIRS:
+                        self.fail(f"power too costly: more than {MAX_PAIRS} coefficient pairs",
+                                  at=t)
+                    out = alg_mul(out, b)
                 if sum(len([*system.scalars(f.data)]) for f in out.coeffs.values()) > MAX_VALUES:
                     self.fail(f"power too large: more than {MAX_VALUES} values", at=t)
             return out
@@ -432,8 +438,10 @@ def parse_point(text: str, system) -> Point:
 
 
 def parse_elem(text: str, system, exact: bool = False) -> Element:
-    return _read(text, lambda s: s.expr(system, exact), "expression",
-                 ("+", "-", "*", "^", "end of input"))
+    """The element an expression names; OverflowError if a float value of
+    it overflowed."""
+    return check_finite(_read(text, lambda s: s.expr(system, exact), "expression",
+                              ("+", "-", "*", "^", "end of input")))
 
 
 def _try_invert(a: Element) -> Element | None:

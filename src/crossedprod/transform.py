@@ -15,7 +15,7 @@ import math
 from functools import cached_property
 
 from . import scalars as sc
-from .algebra import Element, alg_mul, fourier_func, from_func
+from .algebra import Element, _transform_value, alg_mul, demote_to_float, fourier_func, from_func
 from .dynsys import Point, validate_point
 from .errors import SystemMismatchError
 from .records import record
@@ -248,24 +248,28 @@ def ideal_of_torus_set(T: TorusSubset, tol: float = DEFAULT_TOL):
 def tilde_member(T: TorusSubset, a: Element, tol: float = DEFAULT_TOL) -> bool:
     """Whether the transform of a vanishes on all of T.
 
-    For each entry the condition reduces to a single C(X)-model function,
-    the transform of a at each root, vanishing on the orbit closure; the
-    full-circle case asks every coefficient to vanish there.
+    At a periodic point the transform is summed from the coefficient values
+    at each orbit point, for each root.  An aperiodic point with explicit
+    roots asks the transform at each root, a C(X)-model function, to vanish
+    on the orbit closure; the full-circle case asks every coefficient to
+    vanish there.
     """
     system = T.system
     if a.system != system:
         raise SystemMismatchError("element on the wrong system")
+    fa = demote_to_float(a) if a.exact else a  # the mode of the roots, which are complex
     for e in T.entries:
         validate_point(system, e.point)
-        closure = system.orbit_closure(e.point)
         roots = lamset_roots(e.lamset)
-        if roots is None:
-            if not all(system.vanishes_on(f, closure, tol) for f in a.coeffs.values()):
-                return False
-            continue
-        for mu in roots:
-            if not system.vanishes_on(fourier_func(a, mu), closure, tol):
-                return False
+        if roots is not None and system.period(e.point) is not None:
+            orbit = system.orbit_points(e.point)
+            ok = all(sc.is_zero(_transform_value(fa, mu, y), tol) for mu in roots for y in orbit)
+        else:
+            closure = system.orbit_closure(e.point)
+            funcs = a.coeffs.values() if roots is None else (fourier_func(fa, mu) for mu in roots)
+            ok = all(system.vanishes_on(f, closure, tol) for f in funcs)
+        if not ok:
+            return False
     return True
 
 

@@ -86,6 +86,13 @@ def test_check_suites_run_in_exact_mode(suite, capsys):
     assert (code, out) == (0, f"{suite}: ok ({EXACT_SUITE_CHECKS[suite]} checks)\n")
 
 
+def test_a_suite_that_checks_nothing_says_so():
+    # the golden rotation has no Pxl handle, so the kernel suite has nothing to check
+    code, out = invoke(["--config", str(DATA / "rotation_golden.cfg"), "check",
+                        "--suite", "reps.kernel"])
+    assert (code, out) == (0, "reps.kernel: vacuous (0 checks)\n")
+
+
 def test_tolerance_env_override(monkeypatch):
     # tolerances only act in float mode; exact mode compares exactly
     cfg = str(DATA / "swapfix.cfg")
@@ -135,23 +142,29 @@ def test_cli_fuzz_never_crashes():
 
 
 @pytest.mark.parametrize("argv,code,out", [
-    (["eval", "--elem", "1e200 * 1e200"], 0, "f{0:inf,1:inf,2:inf}\n"),
-    (["norm", "--elem", "1e200 * 1e200"], 0, "inf\n"),
-    (["norm", "--elem", "1e200 * 1e200 - 1e200 * 1e200"], 0, "nan\n"),
+    (["eval", "--elem", "1e200 * 1e200"], 2, ""),
+    (["norm", "--elem", "1e200 * 1e200"], 2, ""),
+    (["norm", "--elem", "1e200 * 1e200 - 1e200 * 1e200"], 2, ""),
+    (["eval", "--elem", "-1e200 * 1e200 * d"], 2, ""),
+    (["eval", "--elem", "(1e200*d)^2"], 2, ""),
+    (["mul", "--a", "1e200*d", "--b", "1e200"], 2, ""),
     (["norm", "--elem", "1e400"], 3, ""),
     (["eval", "--elem", "-1e400 * d"], 3, ""),
     (["eval", "--elem", "1" + "0" * 400], 3, ""),
     (["eval", "--elem", "1/1e400"], 3, ""),
     (["transform", "--elem", "d", "--point", "0", "--lam", "1e999"], 3, ""),
-], ids=["inf", "inf_norm", "nan_norm", "big_decimal", "big_decimal_term", "big_integer",
-        "big_denominator", "big_lam"])
+], ids=["inf", "inf_norm", "nan_norm", "inf_nan_term", "inf_power", "inf_product",
+        "big_decimal", "big_decimal_term", "big_integer", "big_denominator", "big_lam"])
 def test_non_finite_numbers_print_or_are_refused(argv, code, out, capsys):
-    # an overflowing product prints inf or nan; a literal beyond the float
-    # range is a parse error, never a traceback
+    # an element whose float value overflows is an error naming the overflow,
+    # since no literal reads inf or nan back; a literal beyond the float range
+    # is a parse error; never a traceback
     got = run_command(["--config", str(DATA / "swapfix.cfg"), *argv])
     captured = capsys.readouterr()
     assert (got, captured.out) == (code, out)
     assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.err.startswith("error: float overflow")
 
 
 def test_an_integer_beyond_the_float_range_is_an_error(tmp_path, capsys):

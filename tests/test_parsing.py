@@ -13,7 +13,7 @@ from crossedprod.dynsys import (
 from crossedprod.errors import ParseError, SystemMismatchError
 from crossedprod.funcspace import f_compose_sigma
 from crossedprod.parsing import (
-    MAX_VALUES, parse_config, parse_elem, parse_ideal, parse_point, parse_scalar_text,
+    MAX_PAIRS, MAX_VALUES, parse_config, parse_elem, parse_ideal, parse_point, parse_scalar_text,
     parse_set, parse_torus, render_config, render_element, render_ideal,
     render_point, render_set, render_torus,
 )
@@ -208,6 +208,25 @@ def test_parser_fuzz_never_crashes(cycle3, rng):
             parse_elem(text, cycle3)
         except ParseError:
             pass
+
+
+@pytest.mark.parametrize("text,col", [("(1+d)^1000", 7), ("(1+d)^30000", 7),
+                                      ("(1 + d + d^2 + f{0:2}*d^3)^300", 28)])
+def test_a_power_too_costly_to_form_is_refused_before_its_products(text, col):
+    """(1+d)^1000 held 3,003 values, well inside MAX_VALUES, yet took
+    seconds: the pairs budget stops it before the product that would pass
+    MAX_PAIRS."""
+    import time
+    from crossedprod.cli import run_command
+    argv = ["--config", str(DATA / "cycle3_exact.cfg"), "eval", "--elem", text]
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_command(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert f"col {col}: power too costly: more than {MAX_PAIRS} coefficient pairs" \
+        in err.getvalue()
 
 
 def test_a_power_too_large_to_hold_is_refused_at_its_exponent():
