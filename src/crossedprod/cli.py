@@ -23,7 +23,7 @@ from .parsing import (
     SystemConfig, parse_config, parse_elem, parse_ideal, parse_point,
     parse_scalar_text, parse_set, parse_torus,
 )
-from .scalars import check_tolerance, fmt_real, render_scalar
+from .scalars import check_finite_scalar, check_tolerance, fmt_real, render_scalar
 
 DEFAULT_TOL_ENV = "CROSSEDPROD_TOL"
 # The keys of checks.SUITES, written out so that building the parser does
@@ -204,14 +204,14 @@ def _dispatch(args, cfg: SystemConfig) -> int:
     elif args.command == "adj":
         out.add(repr(alg_adj(parse_elem(args.elem, system, exact))))
     elif args.command == "norm":
-        out.add(fmt_real(alg_norm(parse_elem(args.elem, system, exact))))
+        out.add(fmt_real(check_finite_scalar(alg_norm(parse_elem(args.elem, system, exact)))))
     elif args.command == "e0":
         out.add(repr(expectation(parse_elem(args.elem, system, exact))))
     elif args.command == "transform":
         a = parse_elem(args.elem, system, exact)
         x = parse_point(args.point, system)
         lam = parse_scalar_text(args.lam, exact)
-        out.add(render_scalar(fourier_eval(a, x, lam)))
+        out.add(render_scalar(check_finite_scalar(fourier_eval(a, x, lam))))
     elif args.command == "rep":
         from .reps_ideals import rep_aperiodic_window, rep_periodic
         a = parse_elem(args.elem, system, exact)
@@ -224,7 +224,7 @@ def _dispatch(args, cfg: SystemConfig) -> int:
             W = args.window if args.window is not None else a.support_radius()
             M = rep_aperiodic_window(system, x, W, a)
         for row in M.entries:
-            out.add("[" + ", ".join(render_scalar(v) for v in row) + "]")
+            out.add("[" + ", ".join(render_scalar(check_finite_scalar(v)) for v in row) + "]")
     elif args.command == "member":
         from .reps_ideals import ideal_member
         I = parse_ideal(args.ideal, system, exact)

@@ -13,14 +13,16 @@ from itertools import takewhile
 from operator import add
 
 from . import scalars as sc
-from .algebra import Element, alg_add, alg_adj, alg_mul, element, from_func, unify_lam
+from .algebra import (
+    Element, alg_add, alg_adj, alg_mul, demote_to_float, element, from_func, unify_lam,
+)
 from .dynsys import Func, Point, is_invariant_closed, validate_point
 from .errors import SystemMismatchError, UnsupportedQueryError
 from .records import record
 from .scalars import DEFAULT_TOL
 from .transform import (
     FiniteRoots, FullCircle, TorusEntry, TorusSubset, generated_zero_set,
-    pth_roots, residue_sums, torus_contains,
+    pth_roots, residue_sums,
 )
 
 
@@ -143,11 +145,8 @@ class IdealHandle:
     def contains(self, I: IdealHandle, tol: float) -> bool:
         raise UnsupportedQueryError("containment is not decidable for this pair")
 
-    def _inside_pxl(self, J: PxLambdaIdeal, tol: float) -> bool:
-        """Whether this ideal lies in J: its zero set meets the torus fibre
-        of J, which characterises containment."""
-        Z = self.zeros(tol)
-        return any(torus_contains(Z, J.x, mu) for mu in pth_roots(J.lam, J.system.period(J.x)))
+    def _inside_kernel(self, J: SetKernelIdeal, tol: float) -> bool:
+        return J.system.subset(J.subset, self.hull(tol).subset)  # J's set lies in the hull
 
     def _beside_bad(self, J: PxLambdaIdeal, tol: float) -> BehaviourReport:
         """Behaviour of the meet of this ideal with the badly behaved J; only
@@ -180,7 +179,10 @@ class SetKernelIdeal(IdealHandle):
         return BehaviourReport("well")
 
     def contains(self, I: IdealHandle, tol: float) -> bool:
-        return self.system.subset(self.subset, I.hull(tol).subset)
+        return I._inside_kernel(self, tol)
+
+    def _inside_pxl(self, J: PxLambdaIdeal, tol: float) -> bool:
+        return self.system.contains(self.subset, J.x)  # J's orbit lies in the set
 
     def random_member(self, rng, radius: int, exact: bool) -> Element:
         from .sampling import random_func_vanishing_on  # sampling imports this module
@@ -365,7 +367,10 @@ class IntersectionIdeal(IdealHandle):
         if not self.parts:
             from .sampling import random_element
             return random_element(self.system, rng, radius, exact)
-        return reduce(alg_mul, (p.random_member(rng, 1, exact) for p in self.parts))
+        draws = [p.random_member(rng, 1, exact) for p in self.parts]
+        if any(d.coeffs and not d.exact for d in draws):  # a float part: the meet is float
+            draws = [demote_to_float(d) for d in draws]
+        return reduce(alg_mul, draws)
 
 
 @record(eq=False)
@@ -386,6 +391,12 @@ class GeneratedIdeal(IdealHandle):
 
     def zeros(self, tol: float) -> TorusSubset:
         return generated_zero_set(self, tol)
+
+    def _inside(self, J: IdealHandle, tol: float) -> bool:
+        """J holds each generator: the generated closed ideal is the least that holds them."""
+        return all(J.member(g, tol) for g in self.gens)
+
+    _inside_kernel = _inside_pxl = _inside
 
     def adjoint(self) -> GeneratedIdeal:
         return GeneratedIdeal(self.system, tuple(alg_adj(g) for g in self.gens))

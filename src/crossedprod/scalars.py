@@ -229,6 +229,13 @@ def rational_circle_point(t) -> QComplex:
 # Scalar literals, as the parser reads them
 
 
+def check_finite_scalar(v):
+    """v itself, or OverflowError if v is a float that overflowed to inf or nan."""
+    if not is_exact(v) and not cmath.isfinite(v):
+        raise OverflowError("float overflow: the result is not finite")
+    return v
+
+
 def fmt_real(v) -> str:
     """A Fraction as itself, an integral float below 1e15 as an integer, and
     any other float at 12 significant digits (``inf``, ``-inf``, ``nan``)."""

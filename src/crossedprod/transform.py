@@ -365,10 +365,7 @@ def _same_root_lists(Z1: TorusSubset, Z2: TorusSubset) -> bool:
 
 
 def ideal_leq(I, J, tol: float = DEFAULT_TOL) -> bool:
-    """Containment of I in J for every constructible handle pair.
-
-    Kernel-type targets reduce to hulls; torus-parameter targets reduce to
-    the zero set of I meeting the zero set of J, which characterises
-    containment; a meet contains I when each of its parts does.
-    """
+    """Containment of I in J, decided by the handles from membership or
+    orbit data and never from a zero set: a generated I lies in J when J
+    holds each generator.  A generated J is refused."""
     return J.contains(I, tol)

@@ -153,12 +153,19 @@ def test_cli_fuzz_never_crashes():
     (["eval", "--elem", "1" + "0" * 400], 3, ""),
     (["eval", "--elem", "1/1e400"], 3, ""),
     (["transform", "--elem", "d", "--point", "0", "--lam", "1e999"], 3, ""),
+    (["norm", "--elem", "1e308 + 1e308*d"], 2, ""),
+    (["transform", "--elem", "1e308 + 1e308*d", "--point", "0", "--lam", "1"], 2, ""),
+    (["rep", "--elem", "1e308 + 1e308*d^2", "--point", "0", "--lam", "1"], 2, ""),
+    (["norm", "--elem", "1e307 + 1e307*d"], 0, "2e+307\n"),
+    (["transform", "--elem", "1e308 + 1e308*d", "--point", "0", "--lam", "-1"], 0, "0\n"),
 ], ids=["inf", "inf_norm", "nan_norm", "inf_nan_term", "inf_power", "inf_product",
-        "big_decimal", "big_decimal_term", "big_integer", "big_denominator", "big_lam"])
+        "big_decimal", "big_decimal_term", "big_integer", "big_denominator", "big_lam",
+        "inf_norm_sum", "inf_transform_sum", "inf_rep_entry", "norm_near_the_top",
+        "transform_near_the_top"])
 def test_non_finite_numbers_print_or_are_refused(argv, code, out, capsys):
-    # an element whose float value overflows is an error naming the overflow,
-    # since no literal reads inf or nan back; a literal beyond the float range
-    # is a parse error; never a traceback
+    # an element or a printed result whose float value overflows is an error
+    # naming the overflow, since no literal reads inf or nan back; a literal
+    # beyond the float range is a parse error; never a traceback
     got = run_command(["--config", str(DATA / "swapfix.cfg"), *argv])
     captured = capsys.readouterr()
     assert (got, captured.out) == (code, out)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from crossedprod.errors import SystemMismatchError, UnsupportedQueryError
 from crossedprod.funcspace import (
     f_eval, finite_func, one_func, shift_func,
 )
+from crossedprod.parsing import parse_ideal
 from crossedprod.reps_ideals import (
     canonical_px, canonical_px_lambda, canonical_qx, escape_element,
     ideal_behaviour, ideal_inclusion, ideal_member, intersection_ideal,
@@ -499,3 +501,18 @@ def test_an_exact_draw_from_a_float_torus_parameter_is_a_float_member(cycle3, rn
         assert ideal_member(J, a)
     K = canonical_px_lambda(cycle3, pt(0), sc.qc(0, 1))
     assert K.random_member(rng, 2, exact=True).exact
+
+
+def test_a_meet_draws_every_part_in_one_mode(perm1235, rng):
+    """A float Pxl part makes an exact draw from the meet float, and the
+    draw lies in each part; with an exact parameter the draw stays exact."""
+    I = parse_ideal("meet(Pxl(0, 1.0), Qx(1))", perm1235, True)
+    draws = [I.random_member(random.Random(1), 2, True)]
+    draws += [I.random_member(rng, 2, True) for _ in range(10)]
+    for a in draws:
+        assert not a.exact
+        assert all(ideal_member(P, a) for P in I.parts)
+    J = parse_ideal("meet(Pxl(0, 1), Qx(1))", perm1235, True)
+    draws = [J.random_member(rng, 2, True) for _ in range(5)]
+    assert all(a.exact for a in draws if a.coeffs)
+    assert all(ideal_member(P, a) for a in draws for P in J.parts)

@@ -17,7 +17,9 @@ from crossedprod.funcspace import const_func, f_zero_set, trig_poly
 from crossedprod import scalars, transform
 from crossedprod.reps_ideals import canonical_px_lambda, generated_ideal
 from crossedprod.scalars import ABERTH_SWEEPS, ROOT_MATCH_TOL, aberth_roots, unit_circle_roots
-from crossedprod.transform import ideal_leq, lamset_roots, zeros_of_ideal
+from crossedprod.transform import (
+    ideal_leq, lamset_roots, pth_roots, torus_contains, zeros_of_ideal,
+)
 
 TOL = 1e-9
 POINTS = [1 + 0j, -1 + 0j, 1j, cmath.exp(2j * math.pi * 0.3)]
@@ -121,8 +123,9 @@ def test_turns_stay_in_the_unit_interval(golden_rotation):
 
 
 def test_one_kernel_call_per_lambda_set(cycle3, monkeypatch):
-    # Pxl(0, -1) misses the cube roots of 1j: each of its three cube roots
-    # is looked up in the same lambda set, which finds its roots once
+    # the zero set holds the cube roots of 1j and misses those of -1: each
+    # cube root of -1 is looked up in the same lambda set, which finds its
+    # roots once; containment in Pxl(0, -1) asks membership and finds none
     calls = []
     kernel = transform.unit_circle_roots
     monkeypatch.setattr(transform, "unit_circle_roots",
@@ -131,6 +134,10 @@ def test_one_kernel_call_per_lambda_set(cycle3, monkeypatch):
     a = element(cycle3, {3 * l: const_func(cycle3, c) for l, c in enumerate(coeffs)})
     I = generated_ideal(cycle3, [a])
     assert not ideal_leq(I, canonical_px_lambda(cycle3, pt(0), -1 + 0j))
+    assert calls == []
+    Z = zeros_of_ideal(I)
+    assert not any(torus_contains(Z, pt(0), mu) for mu in pth_roots(-1, 3))
+    assert all(torus_contains(Z, pt(0), mu) for mu in pth_roots(1j, 3))
     assert len(calls) == len(set(calls)) == 1
 
 
