@@ -20,7 +20,7 @@ from .algebra import alg_adj, alg_mul, alg_norm, check_finite, expectation, four
 from .dynsys import is_free, is_minimal, is_periodic
 from .errors import CrossedProdError, ParseError, UnsupportedQueryError
 from .parsing import (
-    SystemConfig, parse_config, parse_elem, parse_ideal, parse_point,
+    MAX_ROUNDS, SystemConfig, parse_config, parse_elem, parse_ideal, parse_point,
     parse_scalar_text, parse_set, parse_torus,
 )
 from .scalars import check_finite_scalar, check_tolerance, fmt_real, render_scalar
@@ -279,13 +279,16 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         I = parse_ideal(args.ideal, system, exact)
         out.add(repr(zi_closure(I, tol)))
     elif args.command == "avg":
+        if args.max_rounds > MAX_ROUNDS:
+            raise ValueError(f"--max-rounds {args.max_rounds} is above the bound of {MAX_ROUNDS}")
         from .synthesis import drive_to_E
         a = parse_elem(args.elem, system, exact)
         rep = drive_to_E(a, args.epsilon, args.max_rounds)
         for order, residual in rep.rounds:
-            out.add(f"round order={order} residual={fmt_real(residual)}")
+            out.add(f"round order={order} residual={fmt_real(check_finite_scalar(residual))}")
         out.add("reached" if rep.reached else "not reached",
-                tuple(f"damping[{n}]={fmt_real(v)}" for n, v in sorted(rep.damping.items())))
+                tuple(f"damping[{n}]={fmt_real(check_finite_scalar(v))}"
+                      for n, v in sorted(rep.damping.items())))
     elif args.command == "galois":
         from .checks import suite_galois
         code = _add_report(out, suite_galois(system, args.instantiation, args.seed, args.samples))
@@ -314,7 +317,8 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         else:
             note = drep.note
             if drep.averaging is not None:
-                note += f"; averaging residual {fmt_real(drep.averaging.final_residual)}"
+                residual = check_finite_scalar(drep.averaging.final_residual)
+                note += f"; averaging residual {fmt_real(residual)}"
             out.add("dichotomy: free", (note,))
     out.flush()
     return code

@@ -79,6 +79,7 @@ _TOKEN = re.compile(r"(?P<nl>\n)|[ \t\r]+|#[^\n]*"
 _FUNC_TAGS = ("f", "sh", "tp", "u")
 MAX_VALUES = 10 ** 5  # scalars the running result of a power may hold
 MAX_PAIRS = 5 * 10 ** 4  # coefficient pairs the products of a power may form in all
+MAX_ROUNDS = 1000  # averaging rounds; the order 2^rounds must stay inside the float range
 _SET_WORDS = ("circle", "co", "u")
 
 

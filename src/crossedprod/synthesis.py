@@ -10,10 +10,10 @@ when the system is free.
 
 from __future__ import annotations
 
-from .algebra import (
-    Element, alg_add, alg_mul, alg_norm, alg_scale, alg_sub, expectation,
-    from_func, zero_element,
-)
+from cmath import exp
+from math import pi, sin
+
+from .algebra import Element, _element, from_func
 from .errors import UnsupportedQueryError
 from .records import record
 from .reps_ideals import (
@@ -24,21 +24,21 @@ from .reps_ideals import (
 def char_average(a: Element, order: int) -> Element:
     """Average of the conjugates of a by the characters z^m, m < order.
 
-    Realised literally as (1/order) sum_m z^m a z^{-m}; the net effect is
-    to scale the coefficient of index n by the Dirichlet mean of the
-    rotation angle times n, so supports and coefficient zero sets are
-    preserved and no coefficient norm grows.
+    Each coefficient a_n is scaled by the Dirichlet mean of w = e^{2 pi i n theta}:
+    1 at resonance, else e^{pi i (y - x)} sin(pi y) / (order sin(pi x)) for the
+    reduced turns x = n theta and y = order n theta, exact for surd and rational
+    angles; so supports and zero sets are kept and no coefficient norm grows.
     """
     system = a.system
     system.character(0)  # only the rotation model has characters
     if order < 1:
         raise ValueError("averaging order must be positive")
-    acc = zero_element(system)
-    for m in range(order):
-        zm = from_func(system.character(m))
-        zm_conj = from_func(system.character(-m))
-        acc = alg_add(acc, alg_mul(alg_mul(zm, a), zm_conj))
-    return alg_scale(1.0 / order, acc)
+    out = {}
+    for n, f in a.coeffs.items():
+        x, y = system.theta_times_mod1(n), system.theta_times_mod1(n * order)
+        mean = 1 if x == 0 else exp(1j * pi * (y - x)) * sin(pi * y) / sin(pi * x) * (1 / order)
+        out[n] = system.scale(mean, f)
+    return _element(system, out)
 
 
 @record(eq=False)
@@ -58,22 +58,22 @@ def drive_to_E(a: Element, epsilon: float, max_rounds: int = 16) -> AveragingRep
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    target = from_func(expectation(a))
-    base_norms = {n: a.system.algnorm(f) for n, f in a.coeffs.items()}
+
+    def residual(b):  # the norm of b off its zero coefficient
+        return float(sum(a.system.algnorm(f) for n, f in b.coeffs.items() if n))
+
     current = a
-    rounds = [(0, alg_norm(alg_sub(current, target)))]
+    rounds = [(0, residual(current))]
     order = 2
     for _ in range(max_rounds):
         if rounds[-1][1] <= epsilon:
             break
         current = char_average(current, order)
-        rounds.append((order, alg_norm(alg_sub(current, target))))
+        rounds.append((order, residual(current)))
         order *= 2
-    damping = {}
-    for n, base in base_norms.items():
-        if n == 0 or base == 0:
-            continue
-        damping[n] = a.system.algnorm(current.coeff(n)) / base
+    # a coefficient held is nonzero, so its norm is positive
+    damping = {n: a.system.algnorm(current.coeff(n)) / a.system.algnorm(f)
+               for n, f in a.coeffs.items() if n}
     final = rounds[-1][1]
     return AveragingReport(tuple(rounds), damping, final <= epsilon, final)
 

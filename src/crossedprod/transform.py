@@ -368,4 +368,6 @@ def ideal_leq(I, J, tol: float = DEFAULT_TOL) -> bool:
     """Containment of I in J, decided by the handles from membership or
     orbit data and never from a zero set: a generated I lies in J when J
     holds each generator.  A generated J is refused."""
+    if J.system != I.system:
+        raise SystemMismatchError("handles on different systems")
     return J.contains(I, tol)

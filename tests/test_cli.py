@@ -158,15 +158,17 @@ def test_cli_fuzz_never_crashes():
     (["rep", "--elem", "1e308 + 1e308*d^2", "--point", "0", "--lam", "1"], 2, ""),
     (["norm", "--elem", "1e307 + 1e307*d"], 0, "2e+307\n"),
     (["transform", "--elem", "1e308 + 1e308*d", "--point", "0", "--lam", "-1"], 0, "0\n"),
+    (["avg", "--elem", "1e308*d + 1e308*d^2", "--epsilon", "0.1"], 2, ""),
 ], ids=["inf", "inf_norm", "nan_norm", "inf_nan_term", "inf_power", "inf_product",
         "big_decimal", "big_decimal_term", "big_integer", "big_denominator", "big_lam",
         "inf_norm_sum", "inf_transform_sum", "inf_rep_entry", "norm_near_the_top",
-        "transform_near_the_top"])
+        "transform_near_the_top", "inf_avg_residual"])
 def test_non_finite_numbers_print_or_are_refused(argv, code, out, capsys):
     # an element or a printed result whose float value overflows is an error
     # naming the overflow, since no literal reads inf or nan back; a literal
     # beyond the float range is a parse error; never a traceback
-    got = run_command(["--config", str(DATA / "swapfix.cfg"), *argv])
+    cfg = "rotation_golden.cfg" if argv[0] == "avg" else "swapfix.cfg"  # averaging needs a rotation
+    got = run_command(["--config", str(DATA / cfg), *argv])
     captured = capsys.readouterr()
     assert (got, captured.out) == (code, out)
     assert "Traceback" not in captured.err

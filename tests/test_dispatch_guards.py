@@ -14,9 +14,11 @@ handed.  Fresh interpreters check what ``import crossedprod.cli`` loads,
 that a command which finds unit-circle roots loads no numpy, that a
 command on a finite config loads only the layers it runs and no other
 model's module, and that the commands on it, ``check`` included, load no
-``funcspace``.  In the checking kit only ``galois.Tally`` counts a check or
-collects a failure line, and of the models only the base ``dynsys._Model``
-defines ``is_free`` and ``orbit_points``.
+``funcspace``; ``avg`` on the golden rotation loads the layers it loaded
+when it averaged by twisted products, and no more.  In the checking kit
+only ``galois.Tally`` counts a check or collects a failure line, and of the
+models only the base ``dynsys._Model`` defines ``is_free`` and
+``orbit_points``.
 """
 
 import ast
@@ -338,6 +340,20 @@ def test_commands_on_a_finite_config_load_no_funcspace(command):
     code, out, held = after_command(CYCLE3 + command)
     assert code == 0 and out, out
     assert "crossedprod.funcspace" not in held
+
+
+ROTATION = ("--config", str(SRC.parent.parent / "tests" / "data" / "rotation_golden.cfg"))
+# what averaging loaded when it formed the conjugates by twisted products
+AVG_MODULES = {"crossedprod", *(f"crossedprod.{m}" for m in (
+    "algebra", "cli", "dynsys", "errors", "parsing", "records", "reps_ideals", "rotation",
+    "scalars", "synthesis", "transform"))}
+
+
+def test_averaging_loads_no_module_beyond_its_layers():
+    code, out, held = after_command(ROTATION + ("avg", "--elem", "1 + d + d^-1"))
+    assert code == 0 and out.startswith("round order=0 residual=2\n"), out
+    assert {m for m in held if m.startswith("crossedprod")} == AVG_MODULES, sorted(held)
+    assert "numpy" not in held
 
 
 LAYERS = ("algebra", "transform", "reps_ideals", "hullkernel", "galois", "synthesis",

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import math
+import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import crossedprod.algebra as algebra
 from crossedprod.algebra import (
-    Element, alg_mul, alg_adj, elem_close,
-    from_func, unit,
+    Element, alg_add, alg_mul, alg_adj, alg_scale, delta_power, elem_close,
+    from_func, unit, zero_element,
 )
+from crossedprod.cli import run_command
 from crossedprod.dynsys import RotationSystem
 from crossedprod.errors import UnsupportedQueryError
 from crossedprod.funcspace import f_algnorm, f_zero_set, trig_poly, vanishes_on
@@ -158,3 +165,109 @@ def test_dichotomy_reports(cycle3, shift, golden_rotation):
     assert not r2.free and repr(r2.witness_point.coord) == "inf"
     r3 = dichotomy_report(golden_rotation)
     assert r3.free and r3.averaging is not None and r3.averaging.reached
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def literal_averages(a, top):
+    """(N, (1/N) sum_{m<N} z^m a z^{-m}) for N = 1..top: the definition,
+    summed term by term with two twisted products a term, as the oracle for
+    the closed form."""
+    system = a.system
+    acc = zero_element(system)
+    for m in range(top):
+        zm, zm_conj = from_func(system.character(m)), from_func(system.character(-m))
+        acc = alg_add(acc, alg_mul(alg_mul(zm, a), zm_conj))
+        yield m + 1, alg_scale(1.0 / (m + 1), acc)
+
+
+def max_gap(a, b) -> float:
+    """Largest coefficient value difference between two rotation elements."""
+    gaps = [abs(a.coeff(n).data.get(k, 0j) - b.coeff(n).data.get(k, 0j))
+            for n in set(a.coeffs) | set(b.coeffs)
+            for k in set(a.coeff(n).data) | set(b.coeff(n).data)]
+    return max(gaps, default=0.0)
+
+
+@pytest.mark.parametrize("theta", [None, Fraction(1, 3), Fraction(1, 4)],
+                         ids=["golden", "third", "quarter"])
+def test_closed_form_matches_the_literal_sum(theta, golden_rotation):
+    system = golden_rotation if theta is None else RotationSystem(theta, irrational=False)
+    rng = random.Random(2025)
+    elements = [random_element(system, rng, 4, density=0.8) for _ in range(2)]
+    # resonant indices: multiples of the period on the rational rotations
+    elements.append(Element(system, {n: system.random_func(rng, None) for n in (-8, -4, -3, 3, 4, 8)}))
+    for a in elements:
+        for order, literal in literal_averages(a, 64):
+            gap = max_gap(char_average(a, order), literal)
+            assert gap <= 1e-12, (order, gap)
+
+
+def test_resonant_coefficients_are_kept_exactly(rational_rotation):
+    f = rational_rotation.random_func(random.Random(7), None)
+    a = Element(rational_rotation, {3: f, -6: f, 0: f})
+    for order in (1, 2, 5, 64, 2 ** 2000):
+        assert char_average(a, order).coeffs == a.coeffs
+
+
+def test_huge_orders_average_nonresonant_coefficients_away(golden_rotation):
+    a = delta_power(golden_rotation, 1)
+    assert abs(char_average(a, 2 ** 1000).coeff(1).data[0]) < 1e-290
+    # an int order beyond the float range still divides, down to zero
+    third = RotationSystem(Fraction(1, 3), irrational=False)
+    assert char_average(delta_power(third, 1), 2 ** 1100 + 1).coeffs == {}
+
+
+def test_char_average_forms_no_twisted_product(golden_rotation, rng, monkeypatch):
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "alg_mul", counted("alg_mul", algebra.alg_mul))
+    monkeypatch.setattr(RotationSystem, "mul", counted("mul", RotationSystem.mul))
+    a = random_element(golden_rotation, rng, 3)
+    list(literal_averages(a, 2))  # the guard sees the products of the definition
+    assert calls
+    calls.clear()
+    for order in (1, 2, 64, 2 ** 40):
+        char_average(a, order)
+    drive_to_E(a, 1e-300, 40)
+    assert calls == []
+
+
+def avg_on(cfg, *argv):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["--config", str(cfg), "avg", *argv])
+    return code, out.getvalue(), time.perf_counter() - start
+
+
+def test_a_thousand_rounds_end_within_a_second(tmp_path):
+    third = tmp_path / "third.cfg"
+    third.write_text("system rotation { theta 1/3 irrational false }\nmode float\n")
+    for cfg, lines in ((DATA / "rotation_golden.cfg", None), (third, 1000 + 1 + 4)):
+        code, out, took = avg_on(cfg, "--elem", "1 + d + d^-1 + d^3", "--epsilon", "1e-300",
+                                 "--max-rounds", "1000")
+        assert code == 0 and took < 1.0, (cfg, took)
+        if lines is not None:  # index 3 is resonant: every round runs, none decays it
+            assert len(out.splitlines()) == lines
+            assert out.endswith("not reached\n  witness: damping[-1]=0\n"
+                                "  witness: damping[1]=0\n  witness: damping[3]=1\n")
+
+
+def test_rounds_above_the_bound_are_refused_before_any_work(capsys):
+    from crossedprod.parsing import MAX_ROUNDS
+    cfg = DATA / "rotation_golden.cfg"
+    # the element would be a parse error (exit 3): the bound is checked first
+    assert run_command(["--config", str(cfg), "avg", "--elem", "((", "--max-rounds",
+                        str(MAX_ROUNDS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"bound of {MAX_ROUNDS}" in captured.err
+    assert run_command(["--config", str(cfg), "avg", "--elem", "d", "--max-rounds",
+                        str(MAX_ROUNDS)]) == 0

@@ -355,6 +355,19 @@ def test_torus_contains_refuses_a_point_of_another_system(cycle3, shift_union_cy
                 torus_contains(Z, y, 1)
 
 
+def test_ideal_leq_refuses_handles_on_two_systems(cycle3, swap_fix):
+    # the membership oracles would read the generator's coefficients at the
+    # other system's points and answer
+    from crossedprod.errors import SystemMismatchError
+    I = generated_ideal(cycle3, [parse_elem("1 - d^3", cycle3, False)])
+    for J in (canonical_px_lambda(swap_fix, pt(2), 1 + 0j),
+              canonical_px_lambda(swap_fix, pt(0), 1 + 0j)):
+        with pytest.raises(SystemMismatchError, match="different systems"):
+            ideal_leq(I, J)
+        with pytest.raises(SystemMismatchError):
+            ideal_leq(J, I)
+
+
 def test_ideal_member_via_S_takes_an_exact_element(cycle3, rng):
     """The test family is built in the element's mode, so an exact element
     is answered, in agreement with the synthesized ideal."""
