@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 property failure, 2 usage, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -20,8 +21,8 @@ from .algebra import alg_adj, alg_mul, alg_norm, check_finite, expectation, four
 from .dynsys import is_free, is_minimal, is_periodic
 from .errors import CrossedProdError, ParseError, UnsupportedQueryError
 from .parsing import (
-    MAX_ROUNDS, SystemConfig, parse_config, parse_elem, parse_ideal, parse_point,
-    parse_scalar_text, parse_set, parse_torus,
+    MAX_CHECKS, MAX_ENTRIES, MAX_ROUNDS, SystemConfig, parse_config, parse_elem, parse_ideal,
+    parse_point, parse_scalar_text, parse_set, parse_torus,
 )
 from .scalars import check_finite_scalar, check_tolerance, fmt_real, render_scalar
 
@@ -78,6 +79,13 @@ def _tol(args, cfg: SystemConfig) -> float:
     if env:
         return check_tolerance(env, f"${DEFAULT_TOL_ENV}")
     return cfg.tolerance
+
+
+def _bound_work(what: str, estimate: int, unit: str, bound: int) -> None:
+    """Refuse work whose estimate, made before any of it is done, is above bound."""
+    if estimate > bound:
+        raise ValueError(f"{what} is too costly: about {estimate} {unit}, "
+                         f"above the bound of {bound}")
 
 
 def _set_count(rep) -> str:
@@ -222,6 +230,9 @@ def _dispatch(args, cfg: SystemConfig) -> int:
             M = rep_periodic(system, x, parse_scalar_text(args.lam, exact), a)
         else:
             W = args.window if args.window is not None else a.support_radius()
+            if W > 0:  # a negative window is the library's refusal
+                _bound_work(f"window {W}", (2 * W + 1) ** 2 * max(1, len(a.coeffs)),
+                            "matrix entries times coefficients", MAX_ENTRIES)
             M = rep_aperiodic_window(system, x, W, a)
         for row in M.entries:
             out.add("[" + ", ".join(render_scalar(check_finite_scalar(v)) for v in row) + "]")
@@ -279,6 +290,11 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         I = parse_ideal(args.ideal, system, exact)
         out.add(repr(zi_closure(I, tol)))
     elif args.command == "avg":
+        eps = args.epsilon
+        if not 0 < eps < math.inf:
+            raise ValueError(f"--epsilon must be a finite number > 0, not {fmt_real(eps)}")
+        if args.max_rounds < 0:
+            raise ValueError(f"--max-rounds must be at least 0, not {args.max_rounds}")
         if args.max_rounds > MAX_ROUNDS:
             raise ValueError(f"--max-rounds {args.max_rounds} is above the bound of {MAX_ROUNDS}")
         from .synthesis import drive_to_E
@@ -290,6 +306,10 @@ def _dispatch(args, cfg: SystemConfig) -> int:
                 tuple(f"damping[{n}]={fmt_real(check_finite_scalar(v))}"
                       for n, v in sorted(rep.damping.items())))
     elif args.command == "galois":
+        n = args.samples
+        if n < 0:
+            raise ValueError(f"--samples must be at least 0, not {n}")
+        _bound_work(f"--samples {n}", 5 * n * n // 2, "checks", MAX_CHECKS)
         from .checks import suite_galois
         code = _add_report(out, suite_galois(system, args.instantiation, args.seed, args.samples))
     elif args.command == "check":

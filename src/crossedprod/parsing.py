@@ -80,6 +80,8 @@ _FUNC_TAGS = ("f", "sh", "tp", "u")
 MAX_VALUES = 10 ** 5  # scalars the running result of a power may hold
 MAX_PAIRS = 5 * 10 ** 4  # coefficient pairs the products of a power may form in all
 MAX_ROUNDS = 1000  # averaging rounds; the order 2^rounds must stay inside the float range
+MAX_CHECKS = 10 ** 5  # checks galois --samples n may make, about 2.5 n^2
+MAX_ENTRIES = 10 ** 5  # rep --window W: (2W + 1)^2 matrix entries times coefficients
 _SET_WORDS = ("circle", "co", "u")
 
 

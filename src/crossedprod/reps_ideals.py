@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import takewhile
-from operator import add
 
 from . import scalars as sc
 from .algebra import (
@@ -73,12 +72,16 @@ def rep_periodic(system, x: Point, lam, a: Element) -> RepMatrix:
     # top-right corner, so D^n e_j = lam^q e_i with i = (j + n) mod p and
     # q = floor((j + n) / p); for n < 0 this is (D*)^|n|, where a negative
     # q stands for conj(lam)^|q|.
+    # Exact entries skip "* QONE" and "QZERO +"; floats keep both: either can flip a zero's sign.
     total = _zeros(p, a.exact)
+    powers: dict = {}  # lam^q, each taken once
     for n, f in a.coeffs.items():
         diag = [system.eval(f, y) for y in orbit]
         for j in range(p):
             q, i = divmod(j + n, p)
-            total[i][j] = total[i][j] + diag[i] * sc.unit_pow(lam, q)
+            w = powers[q] if q in powers else powers.setdefault(q, sc.unit_pow(lam, q))
+            t = diag[i] if w is sc.QONE else diag[i] * w
+            total[i][j] = t if total[i][j] is sc.QZERO else total[i][j] + t
     return RepMatrix(tuple(tuple(r) for r in total), period=p)
 
 
@@ -237,9 +240,14 @@ class PxLambdaIdeal(IdealHandle):
         """The finite vanishing conditions cutting out the kernel: each
         residue sum along the orbit, weighted by powers of lam, is zero."""
         a, lam = unify_lam(a, self.lam)
+        powers: dict = {}  # lam^l, each taken once
         for sums in residue_sums(a, self.x):
-            terms = (sc.unit_pow(lam, l) * v for l, v in sums.items())
-            if not sc.is_zero(reduce(add, terms), tol):
+            total = None
+            for l, v in sums.items():  # as in rep_periodic, an exact v skips "* QONE"
+                w = powers[l] if l in powers else powers.setdefault(l, sc.unit_pow(lam, l))
+                t = v if w is sc.QONE else w * v
+                total = t if total is None else total + t
+            if not sc.is_zero(total, tol):
                 return False
         return True
 

@@ -4,8 +4,8 @@ Float mode uses the builtin ``complex``.  Exact mode uses :class:`QComplex`,
 the Gaussian rational ``(a + b i) / d`` stored as three integers ``a``,
 ``b`` and ``d`` with ``d > 0`` and ``gcd(a, b, d) == 1``.  That normal form
 is unique, so equality is a comparison of the three integers, and every
-operation restores it with one ``math.gcd``.  A computation runs in one
-mode throughout; mixing raises :class:`ModeMismatchError`.
+operation but a sign change restores it with one ``math.gcd``.  A
+computation runs in one mode throughout; mixing raises :class:`ModeMismatchError`.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class QComplex:
         return _reduced(a * e - other._a * d, b * e - other._b * d, d * e)
 
     def __neg__(self):
-        return _reduced(-self._a, -self._b, self._d)
+        return _signed(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         if type(other) is not QComplex:
@@ -97,14 +97,15 @@ class QComplex:
         return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def conjugate(self) -> "QComplex":
-        return _reduced(self._a, -self._b, self._d)
+        return _signed(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         a, b, d = self._a, self._b, self._d
         return Fraction(a * a + b * b, d * d)
 
-    def __abs__(self) -> float:
-        return math.sqrt(float(self.abs2()))
+    def __abs__(self) -> float:  # int division rounds once, as float(abs2()) does
+        a, b, d = self._a, self._b, self._d
+        return math.sqrt((a * a + b * b) / (d * d))
 
     def __complex__(self) -> complex:
         return complex(self._a / self._d, self._b / self._d)
@@ -131,6 +132,15 @@ def _reduced(a: int, b: int, d: int) -> QComplex:
         a //= g
         b //= g
         d //= g
+    z = _alloc(QComplex)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _signed(a: int, b: int, d: int) -> QComplex:
+    """(a + b i) / d with no gcd: a sign change keeps a normal form normal."""
     z = _alloc(QComplex)
     _set_a(z, a)
     _set_b(z, b)

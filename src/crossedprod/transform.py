@@ -169,20 +169,21 @@ def generated_zero_set(I, tol: float) -> TorusSubset:
     return TorusSubset(I.system, tuple(out))
 
 
-def residue_sums(a: Element, x: Point) -> list[dict]:
-    """For each residue j mod the period p of x that some index meets and
-    each orbit point y, residue first, the map l -> a_{l p + j}(y) in the
-    element's order.  Weighted by lam^l, each map is a vanishing condition
-    of the kernel at (x, lam); by mu^{p l}, one of a lambda set."""
+def residue_sums(a: Element, x: Point):
+    """Yield, for each residue j mod the period p of x that some index meets
+    and each orbit point y (residue first), the map l -> a_{l p + j}(y) in
+    the element's order: weighted by lam^l a vanishing condition of the
+    kernel at (x, lam), by mu^{p l} one of a lambda set.  A caller may stop early."""
     system = a.system
     orbit = system.orbit_points(x)
     p = len(orbit)
-    sums = [{} for _ in range(p * p)]
+    classes: dict = {}
     for n, f in a.coeffs.items():
         l, j = divmod(n, p)
-        for k, y in enumerate(orbit):
-            sums[j * p + k][l] = system.eval(f, y)
-    return [s for s in sums if s]
+        classes.setdefault(j, []).append((l, f))
+    for j in sorted(classes):
+        for y in orbit:
+            yield {l: system.eval(f, y) for l, f in classes[j]}
 
 
 def _periodic_lambda_set(I, x: Point, tol):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,49 @@ def test_a_torus_parameter_off_the_circle_is_an_error(argv, capsys):
     assert run_command(["--config", str(DATA / "cycle3_exact.cfg"), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "off the unit circle" in captured.err
+
+
+@pytest.mark.parametrize("cfg,argv,estimate", [
+    ("cycle3_exact.cfg", ["galois", "--instantiation", "hk", "--samples", "2000"],
+     "about 10000000 checks"),
+    ("cycle3_exact.cfg", ["galois", "--instantiation", "HK", "--samples", "201"],
+     "about 101002 checks"),
+    ("shift.cfg", ["rep", "--elem", "sh{inf:1,0:2}*d", "--point", "0", "--window", "400"],
+     "about 641601 matrix entries times coefficients"),
+    ("shift.cfg", ["rep", "--elem", "1 + d", "--point", "0", "--window", "112"],
+     "about 101250 matrix entries times coefficients"),
+    ("shift.cfg", ["rep", "--elem", "d^1000000", "--point", "0"],
+     "about 4000004000001 matrix entries times coefficients"),
+], ids=["galois_hk_2000", "galois_HK_201", "rep_window_400", "rep_window_112",
+        "rep_default_window"])
+def test_work_above_its_bound_is_refused_before_any_of_it(cfg, argv, estimate, capsys):
+    # the estimate and the bound (parsing.MAX_CHECKS, parsing.MAX_ENTRIES)
+    # are named, and the refusal comes before any check or matrix entry
+    from crossedprod.parsing import MAX_CHECKS, MAX_ENTRIES
+    bound = MAX_CHECKS if argv[0] == "galois" else MAX_ENTRIES
+    start = time.perf_counter()
+    assert run_command(["--config", str(DATA / cfg), *argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"is too costly: {estimate}, above the bound of {bound}" in captured.err
+
+
+def test_work_at_its_bound_runs():
+    code, out = invoke(["--config", str(DATA / "shift.cfg"), "rep", "--elem", "1 + d",
+                        "--point", "0", "--window", "111"])  # 223^2 * 2 = 99458 entries
+    assert code == 0 and len(out.splitlines()) == 223
+    code, out = invoke(["--config", str(DATA / "cycle3_exact.cfg"), "galois",
+                        "--instantiation", "HK", "--samples", "200"])
+    assert code == 0 and out.startswith("galois.HK: ok")
+
+
+def test_a_negative_sample_count_is_refused(capsys):
+    argv = ["--config", str(DATA / "cycle3_exact.cfg"), "galois", "--instantiation", "HK",
+            "--samples", "-5"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--samples must be at least 0, not -5" in captured.err
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "1e400"])

@@ -18,7 +18,8 @@ model's module, and that the commands on it, ``check`` included, load no
 when it averaged by twisted products, and no more.  In the checking kit
 only ``galois.Tally`` counts a check or collects a failure line, and of the
 models only the base ``dynsys._Model`` defines ``is_free`` and
-``orbit_points``.
+``orbit_points``.  The exact oracles ``alg_norm``, ``alg_adj``,
+``rep_periodic`` and ``Pxl`` membership construct no ``Fraction``.
 """
 
 import ast
@@ -495,3 +496,63 @@ def test_only_the_model_base_answers_freeness_and_orbit_points():
              for path in sorted(SRC.glob("*.py"))}
     assert not any(found.values()), f"is_free or orbit_points off the model base: {found}"
     assert BASE_ANSWERS <= set(vars(_Model))
+
+
+def fractions_made(monkeypatch, run) -> int:
+    """How many fractions.Fraction objects run() constructs."""
+    from fractions import Fraction
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", counted)
+        run()
+    return len(made)
+
+
+def exact_oracle_calls():
+    """alg_norm, alg_adj, rep_periodic and Pxl membership on exact elements
+    of the 11-point permutation (at a point of period 5) and the shift, each
+    built before the calls run."""
+    import random
+    from fractions import Fraction
+    from crossedprod import algebra, reps_ideals, scalars
+    from crossedprod.dynsys import FiniteSystem, ShiftSystem, pt
+    from crossedprod.sampling import random_element
+    rng = random.Random(3)
+    p11 = FiniteSystem(11, (0, 2, 1, 4, 5, 3, 7, 8, 9, 10, 6))
+    lam, x = scalars.rational_circle_point(Fraction(2, 3)), pt(6)
+    I = reps_ideals.canonical_px_lambda(p11, x, lam)
+    elems = [random_element(p11, rng, 4, True) for _ in range(3)]
+    elems.append(reps_ideals.escape_element(elems[0].coeff(0), lam, 5))  # a member
+    shifted = random_element(ShiftSystem(), rng, 4, True)
+
+    def run():
+        for a in elems:
+            algebra.alg_norm(a)
+            algebra.alg_adj(a)
+            reps_ideals.rep_periodic(p11, x, lam, a)
+            reps_ideals.ideal_member(I, a)
+        algebra.alg_norm(shifted)
+        algebra.alg_adj(shifted)
+    return run
+
+
+def test_fraction_guard_finds_what_it_looks_for(monkeypatch):
+    # the magnitude as it was formed before: a float of abs2's Fraction
+    import math
+    from crossedprod.scalars import QComplex
+    run = exact_oracle_calls()
+    monkeypatch.setattr(QComplex, "__abs__", lambda z: math.sqrt(float(z.abs2())))
+    assert fractions_made(monkeypatch, run) > 0
+
+
+def test_exact_oracles_build_no_fraction(monkeypatch):
+    # the exact scalars are integer triples: a magnitude is rounded once
+    # from the integers, a conjugate or negative keeps the normal form, and
+    # the torus powers are integer arithmetic, so no Fraction is built
+    assert fractions_made(monkeypatch, exact_oracle_calls()) == 0

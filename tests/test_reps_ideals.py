@@ -8,7 +8,7 @@ import pytest
 
 from crossedprod import scalars as sc
 from crossedprod.algebra import (
-    alg_adj, alg_mul, delta_power, dual_action, element, elem_close, fourier_eval,
+    alg_add, alg_adj, alg_mul, delta_power, dual_action, element, elem_close, fourier_eval,
     from_func, unit, zero_element,
 )
 from crossedprod.dynsys import (
@@ -27,9 +27,11 @@ from crossedprod.reps_ideals import (
     rep_periodic, restrict_system, separating_check,
 )
 from crossedprod.sampling import (
-    canonical_handles, random_element, random_func, random_member,
+    canonical_handles, random_element, random_func, random_member, random_unimodular,
 )
-from crossedprod.transform import FullCircle, TorusEntry, TorusSubset, tilde_member
+from crossedprod.transform import (
+    FullCircle, TorusEntry, TorusSubset, residue_sums, tilde_member,
+)
 
 
 def to_numpy(M):
@@ -201,7 +203,7 @@ def test_escape_element_membership(cycle3):
     assert not ideal_member(canonical_qx(cycle3, pt(0)), a)
 
 
-def test_membership_matches_matrix_kernel(cycle3, rng):
+def test_membership_matches_matrix_kernel(cycle3, perm1235, rng):
     lams = [cmath.exp(2j * math.pi * k / 8) for k in range(8)]
     x = pt(0)
     for lam in lams:
@@ -213,6 +215,32 @@ def test_membership_matches_matrix_kernel(cycle3, rng):
                 a = random_element(cycle3, rng, 2)
             member = ideal_member(I, a)
             assert member == rep_is_zero(rep_periodic(cycle3, x, lam, a), 1e-8)
+    # every period (1, 2, 3 and 5 on the 11-point permutation, 8 on the
+    # 8-cycle), exact and float; membership stops at the first nonzero
+    # residue sum, so each non-member below is nonzero only in the last
+    # class walked: the top residue p - 1 at the last orbit point
+    cycle8 = FiniteSystem(8, (1, 2, 3, 4, 5, 6, 7, 0))
+    for system, x in [(perm1235, pt(k)) for k in (0, 1, 3, 6)] + [(cycle8, pt(0))]:
+        p = system.period(x)
+        last = orbit_points(system, x)[-1].coord
+        for exact in (True, False):
+            for _ in range(6):
+                lam = random_unimodular(rng, exact)
+                I = canonical_px_lambda(system, x, lam)
+                tol = 0.0 if exact else 1e-8
+                for a in (random_member(I, rng, 2, exact), random_element(system, rng, 2, exact)):
+                    assert ideal_member(I, a) == rep_is_zero(rep_periodic(system, x, lam, a), tol)
+                member = random_member(I, rng, 2, exact)
+                assert ideal_member(I, member)
+                assert rep_is_zero(rep_periodic(system, x, lam, member), tol)
+                one = sc.one_like(exact)
+                bump = [one if k == last else sc.zero_like(exact) for k in range(system.size)]
+                a = alg_add(member, element(system, {2 * p - 1: finite_func(system, bump)}))
+                walked = [sum((sc.unit_pow(lam, l) * v for l, v in sums.items()),
+                              sc.zero_like(exact)) for sums in residue_sums(a, x)]
+                assert [sc.is_zero(v, tol) for v in walked] == [True] * (len(walked) - 1) + [False]
+                assert not ideal_member(I, a)
+                assert not rep_is_zero(rep_periodic(system, x, lam, a), 1e-8)
 
 
 def test_qx_members_kill_every_lambda(cycle3, rng):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossedprod import scalars as sc
 from crossedprod.algebra import element
@@ -51,6 +51,12 @@ small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 big = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20))
 parts = st.one_of(small, small, big)
 pairs = st.tuples(parts, parts)
+# at the float range's edge: a part whose square overflows, and a quotient of
+# integers both beyond the range whose square does not
+edge = st.one_of(st.builds(Fraction, st.integers(10**160, 10**300), st.integers(1, 10**5)),
+                 st.builds(Fraction, st.integers(10**310, 10**320), st.integers(10**305, 10**315)))
+wide_parts = st.one_of(small, big, edge, edge.map(lambda v: -v))
+wide_pairs = st.tuples(wide_parts, wide_parts)
 
 
 def both(pair):
@@ -66,7 +72,8 @@ def normal(z: QComplex) -> bool:
 
 
 @settings(max_examples=200, deadline=None)
-@given(pairs, pairs)
+@given(wide_pairs, wide_pairs)
+@example((Fraction(10**200), 1), (0, 1))  # |z|^2 overflows a float
 def test_arithmetic_matches_reference(p, q):
     (z, r), (w, s) = both(p), both(q)
     for got, want in ((z + w, r + s), (z - w, r - s), (z * w, r * s),
@@ -77,7 +84,13 @@ def test_arithmetic_matches_reference(p, q):
         assert agrees(z / w, r / s) and normal(z / w)
     assert z.abs2() == r.abs2() and isinstance(z.abs2(), Fraction)
     assert complex(z) == complex(float(r.re), float(r.im))
-    assert abs(z) == math.sqrt(float(r.abs2()))
+    try:
+        want = math.sqrt(float(r.abs2()))
+    except OverflowError:  # beyond the float range both forms refuse
+        with pytest.raises(OverflowError):
+            abs(z)
+    else:
+        assert abs(z) == want
 
 
 @settings(max_examples=200, deadline=None)

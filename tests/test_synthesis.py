@@ -271,3 +271,17 @@ def test_rounds_above_the_bound_are_refused_before_any_work(capsys):
     assert captured.out == "" and f"bound of {MAX_ROUNDS}" in captured.err
     assert run_command(["--config", str(cfg), "avg", "--elem", "d", "--max-rounds",
                         str(MAX_ROUNDS)]) == 0
+
+
+@pytest.mark.parametrize("flag,value", [("--epsilon", "nan"), ("--epsilon", "inf"),
+                                        ("--epsilon", "0"), ("--epsilon", "-1"),
+                                        ("--max-rounds", "-5")])
+def test_a_bad_epsilon_or_round_count_is_refused_before_any_work(flag, value, capsys):
+    cfg = DATA / "rotation_golden.cfg"
+    # the element would be a parse error (exit 3): the flags are checked first
+    start = time.perf_counter()
+    assert run_command(["--config", str(cfg), "avg", "--elem", "((", flag, value]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {flag} must be")
+    assert value in captured.err
